@@ -106,7 +106,10 @@ class NeighborSet:
     """An ordered set of neighbors of one declared type.
 
     Insertion order is preserved (useful for FIFO-style eviction) and entries
-    are keyed by host address, so membership tests are O(1).
+    are keyed by host address, so membership tests are O(1).  :attr:`version`
+    changes whenever an entry joins, leaves, or gets a new key, so a cache
+    derived from the set's addresses and keys (e.g. Pastry's farthest leaf)
+    can check in O(1) that it is still valid.
     """
 
     def __init__(self, name: str, neighbor_type: NeighborType,
@@ -117,6 +120,8 @@ class NeighborSet:
         self.fail_detect = fail_detect
         self._entries: dict[int, NeighborEntry] = {}
         self._rng = rng or random.Random(0)
+        #: Bumped on every membership or key change; see the class docstring.
+        self.version = 0
         #: Observers notified on membership change (used by the failure
         #: detector and by the notify() upcall plumbing).
         self._observers: list = []
@@ -139,8 +144,9 @@ class NeighborSet:
         address = int(address)
         existing = self._entries.get(address)
         if existing is not None:
-            if key is not None:
+            if key is not None and key != existing.key:
                 existing.key = key
+                self.version += 1
             for name, value in fields.items():
                 setattr(existing, name, value)
             return existing
@@ -151,6 +157,7 @@ class NeighborSet:
             )
         entry = NeighborEntry(self.type, address, key=key, **fields)
         self._entries[address] = entry
+        self.version += 1
         self._notify("add", address)
         return entry
 
@@ -158,6 +165,7 @@ class NeighborSet:
         """Remove a neighbor if present; returns the removed entry or None."""
         entry = self._entries.pop(int(address), None)
         if entry is not None:
+            self.version += 1
             self._notify("remove", int(address))
         return entry
 

@@ -117,3 +117,53 @@ def test_membership_matches_model(addresses):
     assert neighbor_set.size() == len(model)
     for address in model:
         assert neighbor_set.query(address)
+
+
+def test_version_bumps_on_membership_and_key_changes(children):
+    versions = [children.version]
+
+    def changed():
+        versions.append(children.version)
+        return versions[-1] != versions[-2]
+
+    children.add(1, key=10)
+    assert changed()
+    children.add(1, key=10)                 # re-add that changes nothing
+    assert not changed()
+    children.add(1, delay=0.5)              # field update, key untouched
+    assert not changed()
+    children.add(1)                         # no key given: key kept
+    assert not changed()
+    children.add(1, key=11)                 # key refresh
+    assert changed()
+    children.remove(99)                     # absent: nothing removed
+    assert not changed()
+    children.remove(1)
+    assert changed()
+    children.add(2, key=20)
+    children.add(3, key=30)
+    before = children.version
+    children.clear()
+    # clear() goes through remove(): one bump per entry.
+    assert children.version == before + 2
+    versions.append(children.version)
+    children.clear()                        # already empty
+    assert not changed()
+
+
+@given(st.lists(st.tuples(st.sampled_from(["add", "remove"]),
+                          st.integers(min_value=0, max_value=5),
+                          st.integers(min_value=0, max_value=2)),
+                max_size=40))
+def test_version_tracks_every_observable_change(ops):
+    """Equal versions imply equal (address, key) contents in order."""
+    neighbor_set = NeighborSet("peers", NeighborType("peers", 1000),
+                               rng=random.Random(0))
+    seen: dict[int, list] = {}
+    for op, address, key in ops:
+        if op == "add":
+            neighbor_set.add(address, key=key)
+        else:
+            neighbor_set.remove(address)
+        snapshot = [(entry.addr, entry.key) for entry in neighbor_set.entries()]
+        assert seen.setdefault(neighbor_set.version, snapshot) == snapshot
