@@ -3,35 +3,42 @@
 
 The same registry-compiled agent that examples/chord_dht.py runs in
 simulation is booted here as 8 OS processes exchanging real UDP datagrams:
-a staggered join wave builds the ring, each node then routes lookups for
-random keys to their owners, and the harness aggregates per-process
-observations into the same metric shapes the scenario runner reports.
+a staggered join wave builds the ring, then every node runs its slice of
+the scenario's lookup workload — the very ops a simulated run of the spec
+issues — and the harness scores the per-process records with the workload
+model's own formulas.
 
 Run with:  python examples/live_chord.py
 """
 
 from __future__ import annotations
 
-from repro.live import LiveCluster, LiveClusterConfig
+import repro
+from repro.eval import ScenarioSpec, WorkloadModel
+from repro.protocols import chord_agent
 
 NUM_NODES = 8
+LOOKUPS = 5 * NUM_NODES
 
 
 def main() -> None:
-    config = LiveClusterConfig(
-        nodes=NUM_NODES,
-        protocol="chord",
-        workload="route",
+    # 60 spec seconds: live mode maps them onto the wall-clock window after
+    # the join wave, so the lookups spread over the whole run.
+    spec = ScenarioSpec(
+        name="live-chord", agents=lambda: [chord_agent()],
+        num_nodes=NUM_NODES, duration=60.0, seed=1,
+        models=(WorkloadModel(kind="route", source=-1, start=1.0,
+                              packets=LOOKUPS, gap=58.0 / LOOKUPS),),
+    )
+    print(f"booting {NUM_NODES} chord processes on "
+          f"127.0.0.1:47300-{47300 + NUM_NODES - 1} …")
+    outcome = repro.run(
+        spec, mode="live",
         duration=6.0,          # join wave + settle + lookup window, in wall s
-        packets=5 * NUM_NODES,  # lookups, spread round-robin across nodes
         join_spacing=0.2,
         fix_period=0.5,        # fast fix-fingers, as in the Figure-10 demo
         base_port=47300,
     )
-    print(f"booting {config.nodes} chord processes on "
-          f"{config.host}:{config.base_port}-"
-          f"{config.base_port + config.nodes - 1} …")
-    outcome = LiveCluster(config).run()
 
     metrics = outcome.metrics
     print("\nper node (address / FSM state / lookups sent / delivered-here):")

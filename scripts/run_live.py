@@ -1,18 +1,21 @@
 #!/usr/bin/env python
 """Boot a live localhost deployment of a registry-compiled protocol.
 
-The live half of the paper's evaluation story: the same ``.mac``-generated
-agents that run in simulation are booted as N OS processes exchanging real
-UDP datagrams (see docs/LIVE.md), driven through a staggered join wave and a
-route, multicast, replicated-KV, or pub/sub workload, and scored with the
-same metric shapes the scenario runner reports.
+The live half of the paper's evaluation story: the flags describe a
+:class:`~repro.eval.scenario.ScenarioSpec` — a route, multicast,
+replicated-KV, or pub/sub ``WorkloadModel`` over a library or registry
+protocol — and ``repro.run(spec, mode="live")`` boots it as N OS processes
+exchanging real UDP datagrams (see docs/LIVE.md): a staggered join wave,
+then every node runs its slice of the spec's compiled workload, scored with
+the workload model's own formulas.
 
 ``--kill INDEX:AT[:RESPAWN_AFTER]`` injects real faults: the coordinator
 SIGKILLs node INDEX's process AT seconds after the cluster clock zero and
 (with RESPAWN_AFTER) respawns it under the supervisor's restart-epoch
-machinery.  ``--min-post-fault-success`` then gates on the ratio for probes
-sent after the last fault plus the settle window — the "kill a node
-mid-run, recover, still route" check CI runs.
+machinery.  ``--min-post-fault-success`` then gates on the ratio for ops
+issued after the deployment observably recovered (the reborn node rejoined
+and, on ring protocols, every successor is correct again) — the "kill a
+node mid-run, recover, still route" check CI runs.
 
 Usage::
 
@@ -38,8 +41,20 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.live import (KillNode, LiveCluster, LiveClusterConfig,  # noqa: E402
-                        LiveClusterError)
+import repro  # noqa: E402
+from repro.eval.library import PROTOCOLS  # noqa: E402
+from repro.eval.scenario import (GroupModel, ScenarioError,  # noqa: E402
+                                 ScenarioSpec, WorkloadModel)
+from repro.live import KillNode, LiveClusterError  # noqa: E402
+
+#: Spec seconds of the generated spec; the live run maps them linearly onto
+#: its workload window (after the join wave and settle).
+SPEC_SECONDS = 100.0
+#: Spec seconds reserved for group/topic setup before multicast and pub/sub
+#: traffic (pub/sub publishes start after its own subscribe stagger).
+GROUP_LEAD = 20.0
+#: Multicast group key of ``--workload multicast``.
+MULTICAST_GROUP = 4040
 
 
 def parse_kill(text: str) -> KillNode:
@@ -58,13 +73,37 @@ def parse_kill(text: str) -> KillNode:
     return KillNode(at=at, index=index, respawn_after=respawn)
 
 
+def build_spec(args, packets: int) -> ScenarioSpec:
+    """The scenario the flags describe: ops spread evenly over the spec."""
+    name = args.protocol
+    agents = PROTOCOLS.get(name) or (lambda: repro.load_stack(name))
+    lead = 0.0 if args.workload in ("route", "kv") else GROUP_LEAD
+    gap = (SPEC_SECONDS - lead) / (packets + 1)
+    models = []
+    if args.workload == "multicast":
+        models.append(GroupModel(group=MULTICAST_GROUP, source=0, at=0.0,
+                                 spacing=lead / 2 / args.nodes))
+    models.append(WorkloadModel(
+        kind=args.workload, source=0 if args.workload == "multicast" else -1,
+        group=MULTICAST_GROUP, start=lead + gap, packets=packets, gap=gap,
+        packet_bytes=args.payload_size, keys=args.kv_keys,
+        read_fraction=args.kv_read_fraction, replicas=args.kv_replicas,
+        write_quorum=args.kv_write_quorum, read_quorum=args.kv_read_quorum,
+        topics=args.topics))
+    return ScenarioSpec(name=f"live-{name}-{args.workload}", agents=agents,
+                        num_nodes=args.nodes, duration=SPEC_SECONDS,
+                        seed=args.seed, models=tuple(models))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
                                      allow_abbrev=False)
     parser.add_argument("--nodes", type=int, default=8,
                         help="number of node processes (default 8)")
     parser.add_argument("--protocol", default="chord",
-                        help="registry protocol to deploy (default chord)")
+                        help="library (e.g. scribe-pastry) or registry "
+                             "(e.g. scribe) protocol to deploy "
+                             "(default chord)")
     parser.add_argument("--workload",
                         choices=("route", "multicast", "kv", "pubsub"),
                         default="route",
@@ -102,10 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--restart-budget", type=int, default=3,
                         help="supervised respawns per node before it is "
                              "accounted down (default 3)")
-    parser.add_argument("--post-fault-settle", type=float, default=2.0,
-                        help="recovery window after the last fault before "
-                             "probes count toward the post-fault ratio "
-                             "(default 2.0)")
     parser.add_argument("--kv-keys", type=int, default=64,
                         help="kv: working-set size (default 64)")
     parser.add_argument("--kv-read-fraction", type=float, default=0.7,
@@ -132,32 +167,16 @@ def main(argv: list[str] | None = None) -> int:
     if packets is None:
         packets = (8 * args.nodes if args.workload in ("route", "kv")
                    else 16)
-    config = LiveClusterConfig(
-        nodes=args.nodes,
-        protocol=args.protocol,
-        workload=args.workload,
-        duration=args.duration,
-        packets=packets,
-        payload_size=args.payload_size,
-        join_spacing=args.join_spacing,
-        settle=args.settle,
-        seed=args.seed,
-        base_port=args.base_port,
-        fix_period=args.fix_period or None,
-        startup_timeout=args.startup_timeout,
-        faults=tuple(sorted(args.kill, key=lambda fault: fault.at)),
-        restart_budget=args.restart_budget,
-        post_fault_settle=args.post_fault_settle,
-        kv_keys=args.kv_keys,
-        kv_read_fraction=args.kv_read_fraction,
-        kv_replicas=args.kv_replicas,
-        kv_write_quorum=args.kv_write_quorum,
-        kv_read_quorum=args.kv_read_quorum,
-        topics=args.topics,
-    )
+    faults = tuple(sorted(args.kill, key=lambda fault: fault.at))
     try:
-        outcome = LiveCluster(config).run()
-    except LiveClusterError as exc:
+        outcome = repro.run(
+            build_spec(args, packets), mode="live",
+            duration=args.duration, join_spacing=args.join_spacing,
+            settle=args.settle, base_port=args.base_port,
+            fix_period=args.fix_period or None,
+            startup_timeout=args.startup_timeout, faults=faults,
+            restart_budget=args.restart_budget)
+    except (LiveClusterError, ScenarioError) as exc:
         # Startup diagnostics, driver callback errors, dead workers: the
         # message already names the culprit — no traceback needed.
         print(f"FAILED: {exc}", file=sys.stderr)
@@ -172,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         "duration": args.duration,
         "packets": packets,
         "kills": [[fault.index, fault.at, fault.respawn_after]
-                  for fault in config.faults],
+                  for fault in faults],
         "metrics": outcome.metrics,
         "invariant_violations": [str(violation) for violation in violations],
     }
@@ -191,7 +210,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAILED: invariant {violation}", file=sys.stderr)
         failed = True
     if args.min_success is not None:
-        success = outcome.metrics["workload.success_ratio"]
+        # A KV workload's success ratio is its quorum success.
+        success = outcome.metrics.get("workload.success_ratio",
+                                      outcome.metrics.get(
+                                          "workload.quorum_success"))
         if success < args.min_success:
             print(f"FAILED: workload success ratio {success:.3f} < "
                   f"required {args.min_success}", file=sys.stderr)
@@ -202,9 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.min_post_fault_success is not None:
         post = outcome.metrics.get("workload.post_fault_success_ratio")
         if post is None:
-            print("FAILED: no post-fault probes were sent (no faults, or "
-                  "the fault horizon leaves no workload after the settle "
-                  "window — lengthen --duration or kill earlier)",
+            print("FAILED: no post-fault ops were scored (no faults, no "
+                  "observed recovery before the run ended, or no workload "
+                  "after it — lengthen --duration or kill earlier)",
                   file=sys.stderr)
             failed = True
         elif post < args.min_post_fault_success:

@@ -176,6 +176,15 @@ class ProtocolRegistry:
         chain.reverse()
         return chain
 
+    def recipe_of(self, agent_classes) -> Optional[tuple]:
+        """The ``(name, base)`` :meth:`load_protocol` keys that rebuild
+        *agent_classes*, or None if any class was not compiled here (a
+        hand-written agent, say).  This is how another process — a live
+        node — rebuilds exactly the stack a scenario resolved."""
+        keys = {cls: key for key, cls in self._class_cache.items()}
+        recipe = tuple(keys.get(cls) for cls in agent_classes)
+        return recipe if recipe and None not in recipe else None
+
     # ------------------------------------------------------------------ output
     def generated_source(self, name: str, *, base: Optional[str] = None) -> str:
         """The generated Python source for the named protocol."""

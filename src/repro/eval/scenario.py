@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Optional, Sequence, Type, Union
 
 from ..apps.payload import AppPayload
@@ -617,6 +618,170 @@ class DegradeModel(ScenarioModel):
                                                "links": float(len(self.links))})
 
 
+# -------------------------------------------------------------- node programs
+@dataclass(frozen=True)
+class NodeOp:
+    """One pre-drawn operation of a per-node model.
+
+    At ``time`` (an offset from the moment the model is applied) node index
+    ``node`` calls ``action(*args)`` on its own binding; ``kind`` and
+    ``detail`` label the scenario event log.
+    """
+
+    time: float
+    node: int
+    action: str
+    args: tuple
+    kind: str
+    detail: str
+
+
+class NodeProgram:
+    """The per-node half of a compiled model: an op schedule plus a binding.
+
+    ``ops`` (a list of :class:`NodeOp`) is drawn once, at compile time, so
+    the schedule does not depend on where it runs.  :meth:`bind` installs
+    the model's application state on one node and returns the object whose
+    methods the ops call.  The simulator binds every node into one heap
+    (:func:`_bind_every_node`); a live node process binds only its own node
+    and runs its slice of ``ops`` (:mod:`repro.live.cluster`).  Either way
+    :meth:`payload` reduces one process's observations to raw records, and
+    :meth:`merge` scores pooled payloads with the model's own formulas.
+    Programs hold plain data only, so they pickle into live node processes.
+    """
+
+    #: The accumulator one process's bindings share, and the binding class.
+    observations: Callable[[], Any]
+    binding: type
+    #: The op action whose first argument is the op's seqno (None: the
+    #: model issues no measured operations).
+    measured: Optional[str] = None
+    #: Position of the op seqno in ``payload["records"]`` tuples.
+    seqno_field = 0
+
+    def bind(self, node, observations) -> Any:
+        """Install the model on *node*; returns the binding ops call into."""
+        return self.binding(self, node, observations)
+
+    def payload(self, observations, bindings: list) -> dict[str, Any]:
+        raise NotImplementedError
+
+    def merge(self, payloads: list) -> dict[str, float]:
+        raise NotImplementedError
+
+    def finalize(self, observations, bindings: list) -> dict[str, float]:
+        """Metrics of a run in which *bindings* are every node."""
+        return self.merge([self.payload(observations, bindings)])
+
+    def pooled_records(self, payloads: list) -> list:
+        """Every payload's records of ops that some payload accounts as
+        sent.  In simulation that is every record; a live receiver can also
+        log a probe whose sender's report died with its process."""
+        sent = {seqno for payload in payloads for seqno in payload["sent"]}
+        field_ = self.seqno_field
+        return [record for payload in payloads
+                for record in payload["records"] if record[field_] in sent]
+
+
+def _bind_every_node(experiment, label: str, program: NodeProgram):
+    """Run *program* in the simulator: bind every node, schedule every op.
+
+    Returns ``(compiled, observations, bindings)``.
+    """
+    nodes = experiment.nodes
+    observations = program.observations()
+    bindings = [program.bind(node, observations) for node in nodes]
+
+    def _fire(op: NodeOp) -> None:
+        # Sharded runs: the op fires (and is counted, sent or skipped) only
+        # on the shard that owns its node — everywhere else the node is a
+        # dormant replica whose state is meaningless.
+        if not experiment.owns_node(nodes[op.node]):
+            experiment.shard_skipped_events += 1
+            return
+        getattr(bindings[op.node], op.action)(*op.args)
+
+    def _restore() -> None:
+        for binding in bindings:
+            binding.restore()
+
+    def _shard_payload() -> dict[str, Any]:
+        return program.payload(observations, [
+            binding for node, binding in zip(nodes, bindings)
+            if experiment.owns_node(node)])
+
+    events = [ScenarioEvent(op.time, op.kind, op.detail, partial(_fire, op))
+              for op in program.ops]
+    compiled = CompiledModel(
+        label, events, restore=_restore,
+        finalize=lambda: program.finalize(observations, bindings))
+    compiled.program = program  # type: ignore[attr-defined]
+    compiled.shard_payload = _shard_payload
+    compiled.shard_merge = program.merge
+    return compiled, observations, bindings
+
+
+class _Binding:
+    """One node's side of a program; ``restore`` undoes its handlers."""
+
+    def __init__(self, program, node, observations) -> None:
+        self.program = program
+        self.node = node
+        self.observations = observations
+        self.previous = node.handlers
+
+    def restore(self) -> None:
+        self.node.handlers = self.previous
+
+    def _account(self, seqno: int) -> bool:
+        """Count a measured op as sent — or as skipped, returning False,
+        while the node is down or not yet initialised."""
+        node = self.node
+        if node.crashed or not node.initialized:
+            self.observations.skipped += 1
+            return False
+        self.observations.sent_seqnos.append(seqno)
+        return True
+
+
+class _GroupBinding(_Binding):
+    def restore(self) -> None:
+        pass   # installs no handlers
+
+    def create(self) -> None:
+        node = self.node
+        if node.alive and node.initialized:
+            node.macedon_create_group(self.program.group)
+
+    def join(self) -> None:
+        node = self.node
+        if node.alive and node.initialized:
+            node.macedon_join(self.program.group)
+            self.observations.joined += 1
+
+
+class _GroupObservations:
+    joined = 0
+
+
+@dataclass
+class _GroupProgram(NodeProgram):
+    observations = _GroupObservations
+    binding = _GroupBinding
+    ops: list
+    group: int
+    members: int
+
+    def payload(self, observations, bindings):
+        return {"joined": observations.joined}
+
+    def merge(self, payloads):
+        # ``joined`` counts only each process's own members, so the merge
+        # is a straight sum; ``members`` is compile-time.
+        return {"members": float(self.members),
+                "joined": float(sum(p["joined"] for p in payloads))}
+
+
 @dataclass(frozen=True)
 class GroupModel(ScenarioModel):
     """Multicast group choreography for tree-building protocols.
@@ -646,54 +811,23 @@ class GroupModel(ScenarioModel):
         else:
             members = [index for index in range(len(experiment.nodes))
                        if index != source]
-        joined = 0
-
-        def _create() -> None:
-            node = experiment.nodes[source]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
-            if node.alive and node.initialized:
-                node.macedon_create_group(self.group)
-
-        def _join(index: int) -> None:
-            nonlocal joined
-            node = experiment.nodes[index]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
-            if node.alive and node.initialized:
-                node.macedon_join(self.group)
-                joined += 1
-
-        events = [ScenarioEvent(
-            self.at, "group",
-            f"node {source} creates group {self.group}", _create)]
+        ops = [NodeOp(self.at, source, "create", (), "group",
+                      f"node {source} creates group {self.group}")]
         for offset, index in enumerate(members):
-            events.append(ScenarioEvent(
-                self.at + (offset + 1) * self.spacing, "group",
-                f"node {index} joins group {self.group}",
-                lambda i=index: _join(i)))
+            ops.append(NodeOp(self.at + (offset + 1) * self.spacing, index,
+                              "join", (), "group",
+                              f"node {index} joins group {self.group}"))
+        program = _GroupProgram(ops, self.group, len(members))
         label = self.label or self.default_label()
-        compiled = CompiledModel(label, events,
-                                 finalize=lambda: {"members": float(len(members)),
-                                                   "joined": float(joined)})
-        # Sharded runs: ``joined`` counts only this shard's owned members
-        # (everyone else's join fires on their owner shard), so the merge is
-        # a straight sum; ``members`` is compile-time.
-        compiled.shard_payload = compiled.metrics
-        compiled.shard_merge = lambda payloads: {
-            "members": payloads[0]["members"],
-            "joined": float(sum(p["joined"] for p in payloads)),
-        }
-        return compiled
+        return _bind_every_node(experiment, label, program)[0]
 
 
 class WorkloadObservations:
     """Accumulated delivery/latency observations of one workload model."""
 
     def __init__(self) -> None:
-        self.sent = 0
+        #: Seqnos of the probes actually sent, in send order.
+        self.sent_seqnos: list[int] = []
         self.skipped = 0          # probes whose sender was down at send time
         self.deliveries = 0       # total deliver upcalls (multicast: many/packet)
         self.duplicates = 0       # same (receiver, seqno) seen twice
@@ -701,11 +835,15 @@ class WorkloadObservations:
         self.per_receiver: dict[int, list[float]] = {}
         self.delivered_seqnos: set[int] = set()
         self._seen: set[tuple[int, int]] = set()
-        #: (receiver, seqno, latency) per first delivery — the unit sharded
-        #: runs merge on: receivers are shard-owned, so (receiver, seqno) is
-        #: globally unique and sorting on it gives every shard count K the
-        #: same canonical latency order.
+        #: (receiver, seqno, latency) per first delivery — the unit pooled
+        #: runs merge on: receivers are process-owned, so (receiver, seqno)
+        #: is globally unique and sorting on it gives every shard count K
+        #: the same canonical latency order.
         self.records: list[tuple[int, int, float]] = []
+
+    @property
+    def sent(self) -> int:
+        return len(self.sent_seqnos)
 
     def record(self, receiver: int, payload: AppPayload, now: float) -> None:
         key = (receiver, payload.seqno)
@@ -732,15 +870,20 @@ class KvObservations:
     """Accumulated client-operation observations of one KV workload."""
 
     def __init__(self) -> None:
-        self.sent = 0
+        #: Seqnos of the ops actually issued, in issue order.
+        self.sent_seqnos: list[int] = []
         self.skipped = 0          # ops whose client was down at issue time
-        #: One tuple per quorum-completed operation, the unit sharded runs
+        #: One tuple per quorum-completed operation, the unit pooled runs
         #: merge on: ``(seqno, client_addr, kind_code, key, version,
         #: issued_at, completed_at, acks)`` with kind_code 0=put, 1=get.
-        #: Seqnos are driver-unique and each op completes on the shard that
-        #: owns its client, so sorting on seqno gives every shard count the
-        #: same canonical order.
+        #: Seqnos are driver-unique and each op completes in the process
+        #: that owns its client, so sorting on seqno gives every shard count
+        #: the same canonical order.
         self.records: list[tuple] = []
+
+    @property
+    def sent(self) -> int:
+        return len(self.sent_seqnos)
 
     def complete(self, client: int, record) -> None:
         self.records.append((record.seqno, client,
@@ -766,6 +909,261 @@ class KvWorkloadState:
     read_quorum: int
     repair_gap: float
     start: float
+
+
+class _ProbeBinding(_Binding):
+    """Route/multicast: a delivery recorder chained in front of whatever
+    deliver handler the application registered (kept for restore())."""
+
+    def __init__(self, program, node, observations) -> None:
+        super().__init__(program, node, observations)
+        node.handlers = replace(self.previous, deliver=self._deliver)
+
+    def _deliver(self, payload, size, mtype) -> None:
+        if isinstance(payload, AppPayload) and \
+                payload.stream_id == self.program.stream_id:
+            self.observations.record(self.node.address, payload,
+                                     self.node.simulator.now)
+        if self.previous.deliver is not None:
+            self.previous.deliver(payload, size, mtype)
+
+    def send(self, seqno: int, dest_key: Optional[int]) -> None:
+        if not self._account(seqno):
+            return
+        node, program = self.node, self.program
+        payload = AppPayload(seqno=seqno, sent_at=node.simulator.now,
+                             source=node.address, size=program.packet_bytes,
+                             stream_id=program.stream_id)
+        if program.kind == "multicast":
+            node.macedon_multicast(program.group, payload,
+                                   program.packet_bytes)
+        else:
+            node.macedon_route(dest_key, payload, program.packet_bytes)
+
+
+@dataclass
+class _ProbeProgram(NodeProgram):
+    observations = WorkloadObservations
+    binding = _ProbeBinding
+    measured = "send"
+    seqno_field = 1
+    ops: list
+    kind: str
+    group: int
+    packet_bytes: int
+    stream_id: int
+
+    def finalize(self, observations, bindings):
+        # Latencies in arrival order: the single-process accumulation order
+        # the pinned metrics were recorded with.
+        from .metrics import mean, percentile  # local import avoids a cycle
+        return {
+            "sent": float(observations.sent),
+            "skipped": float(observations.skipped),
+            "deliveries": float(observations.deliveries),
+            "duplicates": float(observations.duplicates),
+            "success_ratio": observations.success_ratio,
+            "latency_mean": mean(observations.latencies),
+            "latency_p95": percentile(observations.latencies, 0.95),
+        }
+
+    def payload(self, observations, bindings):
+        return {
+            "sent": observations.sent_seqnos,
+            "skipped": observations.skipped,
+            "duplicates": observations.duplicates,
+            "records": observations.records,
+        }
+
+    def merge(self, payloads):
+        # Recompute every metric from the pooled raw observations with the
+        # exact finalize formulas.  Records are sorted on the globally
+        # unique (receiver, seqno) key, so the latency order — and
+        # therefore the float accumulation in mean() — is the same
+        # canonical order however the run was split.
+        from .metrics import mean, percentile
+        sent = sum(len(p["sent"]) for p in payloads)
+        records = sorted(self.pooled_records(payloads),
+                         key=lambda r: (r[0], r[1]))
+        latencies = [latency for _receiver, _seqno, latency in records]
+        delivered_seqnos = {seqno for _receiver, seqno, _latency in records}
+        return {
+            "sent": float(sent),
+            "skipped": float(sum(p["skipped"] for p in payloads)),
+            "deliveries": float(len(records)),
+            "duplicates": float(sum(p["duplicates"] for p in payloads)),
+            "success_ratio": (len(delivered_seqnos) / sent) if sent else 0.0,
+            "latency_mean": mean(latencies),
+            "latency_p95": percentile(latencies, 0.95),
+        }
+
+
+class _KvBinding(_Binding):
+    """A :class:`~repro.apps.kv.KvStore` on the node; construction chains
+    over whatever handlers the node already has (kept for restore())."""
+
+    def __init__(self, program, node, observations) -> None:
+        from ..apps.kv import KvStore
+        super().__init__(program, node, observations)
+        model = program.model
+        self.store = KvStore(node, replicas=model.replicas,
+                             write_quorum=model.write_quorum,
+                             read_quorum=model.read_quorum,
+                             op_bytes=model.packet_bytes,
+                             stream_id=program.stream_id)
+        self.store.on_complete = (lambda record, client=node.address:
+                                  observations.complete(client, record))
+
+    def issue(self, seqno: int, key: int, version: int) -> None:
+        if not self._account(seqno):
+            return
+        if version >= 0:
+            self.store.put(key, version, seqno)
+        else:
+            self.store.get(key, seqno)
+
+    def repair(self) -> None:
+        if not self.node.crashed and self.node.initialized:
+            self.store.repair()
+
+    def live_store(self) -> Optional[dict[int, int]]:
+        """The key->version map, or None while the node is down."""
+        if self.node.alive and self.node.initialized:
+            self.store._check_epoch()
+            return dict(self.store.store)
+        return None
+
+
+@dataclass
+class _KvProgram(NodeProgram):
+    observations = KvObservations
+    binding = _KvBinding
+    measured = "issue"
+    ops: list
+    model: "WorkloadModel"
+    stream_id: int
+    issued_writes: set
+    window: float
+
+    def payload(self, observations, bindings):
+        return {
+            "sent": observations.sent_seqnos,
+            "skipped": observations.skipped,
+            "records": observations.records,
+            "stores": [store for binding in bindings
+                       if (store := binding.live_store()) is not None],
+        }
+
+    def merge(self, payloads):
+        # Each client (and each store) is owned by exactly one process, so
+        # pooling is a disjoint union; records are re-sorted on the
+        # globally unique seqno, giving every split the identical canonical
+        # accumulation order.
+        from .metrics import (mean, percentile, phantom_reads,
+                              quorum_staleness, replica_coverage,
+                              requests_per_second)
+        sent = sum(len(p["sent"]) for p in payloads)
+        records = sorted(self.pooled_records(payloads))
+        latencies = [r[6] - r[5] for r in records]
+        puts = [r for r in records if r[2] == 0]
+        gets = [r for r in records if r[2] == 1]
+        writes = [(r[3], r[4], r[6]) for r in puts]
+        targets: dict[int, int] = {}
+        for key, version, _completed_at in writes:
+            if version > targets.get(key, -1):
+                targets[key] = version
+        return {
+            "sent": float(sent),
+            "skipped": float(sum(p["skipped"] for p in payloads)),
+            "completed": float(len(records)),
+            "puts": float(len(puts)),
+            "gets": float(len(gets)),
+            "quorum_success": (len(records) / sent) if sent else 0.0,
+            "requests_per_sec": requests_per_second(len(records),
+                                                    self.window),
+            "latency_mean": mean(latencies),
+            "latency_p95": percentile(latencies, 0.95),
+            "stale_reads": float(quorum_staleness(
+                [(r[3], r[4], r[5]) for r in gets], writes)),
+            "phantom_reads": float(phantom_reads(
+                [(r[3], r[4]) for r in gets], self.issued_writes)),
+            "replica_coverage": replica_coverage(
+                [store for p in payloads for store in p["stores"]], targets,
+                self.model.replicas),
+        }
+
+
+class _PubSubBinding(_Binding):
+    """A :class:`~repro.apps.pubsub.PubSub` on the node."""
+
+    def __init__(self, program, node, observations) -> None:
+        from ..apps.pubsub import PubSub
+        super().__init__(program, node, observations)
+        self.app = PubSub(node, stream_id=program.stream_id)
+        self.app.on_delivery = self._on_delivery
+
+    def _on_delivery(self, delivery) -> None:
+        observations = self.observations
+        observations.deliveries += 1
+        observations.delivered_seqnos.add(delivery.seqno)
+        observations.latencies.append(delivery.latency)
+        observations.records.append(
+            (self.node.address, delivery.seqno, delivery.latency))
+
+    def create(self, topic: int) -> None:
+        if self.node.alive and self.node.initialized:
+            self.app.create_topic(topic)
+
+    def subscribe(self, topic: int) -> None:
+        if self.node.alive and self.node.initialized:
+            self.app.subscribe(topic)
+
+    def publish(self, seqno: int, topic: int) -> None:
+        if not self._account(seqno):
+            return
+        self.app.publish(topic, seqno, size=self.program.packet_bytes)
+
+
+@dataclass
+class _PubSubProgram(NodeProgram):
+    observations = WorkloadObservations
+    binding = _PubSubBinding
+    measured = "publish"
+    seqno_field = 1
+    ops: list
+    stream_id: int
+    packet_bytes: int
+    expected: int
+    window: float
+
+    def payload(self, observations, bindings):
+        return {
+            "sent": observations.sent_seqnos,
+            "skipped": observations.skipped,
+            "duplicates": sum(b.app.duplicates for b in bindings),
+            "records": observations.records,
+        }
+
+    def merge(self, payloads):
+        from .metrics import mean, percentile, requests_per_second
+        sent = sum(len(p["sent"]) for p in payloads)
+        records = sorted(self.pooled_records(payloads),
+                         key=lambda r: (r[0], r[1]))
+        latencies = [latency for _receiver, _seqno, latency in records]
+        delivered = {seqno for _receiver, seqno, _latency in records}
+        expected = self.expected
+        return {
+            "sent": float(sent),
+            "skipped": float(sum(p["skipped"] for p in payloads)),
+            "deliveries": float(len(records)),
+            "duplicates": float(sum(p["duplicates"] for p in payloads)),
+            "expected": float(expected),
+            "coverage": (len(records) / expected) if expected else 0.0,
+            "success_ratio": (len(delivered) / sent) if sent else 0.0,
+            "latency_mean": mean(latencies),
+            "latency_p95": percentile(latencies, 0.95),
+            "publishes_per_sec": requests_per_second(sent, self.window),
+        }
 
 
 @dataclass(frozen=True)
@@ -794,10 +1192,13 @@ class WorkloadModel(ScenarioModel):
       publishers with ``source=-1``).  Requires a group-capable overlay
       (Scribe/SplitStream).
 
-    Deliver handlers are chained onto every node when the model is applied
-    and the previously registered handlers are invoked afterwards, then
-    restored when the scenario finishes — application instrumentation
-    survives being measured.
+    Every kind compiles to a :class:`NodeProgram`: the whole op schedule is
+    pre-drawn here, and the same schedule runs in the simulator or, one
+    node per process, in a live deployment.  Deliver handlers are chained
+    onto every node when the model is applied and the previously
+    registered handlers are invoked afterwards, then restored when the
+    scenario finishes — application instrumentation survives being
+    measured.
     """
 
     kind: str = "multicast"        # "multicast" | "route" | "kv" | "pubsub"
@@ -846,58 +1247,33 @@ class WorkloadModel(ScenarioModel):
                 stream_id += 1
         used_streams.add(stream_id)
         if self.kind == "kv":
-            return self._instantiate_kv(experiment, rng, horizon, stream_id)
-        if self.kind == "pubsub":
-            return self._instantiate_pubsub(experiment, rng, horizon, stream_id)
-        observations = WorkloadObservations()
-        simulator = experiment.simulator
+            program = self._kv_program(experiment, rng, horizon, stream_id)
+        elif self.kind == "pubsub":
+            program = self._pubsub_program(experiment, rng, horizon,
+                                           stream_id)
+        else:
+            program = self._probe_program(experiment, rng, stream_id)
+        label = self.label or self.default_label()
+        compiled, observations, bindings = _bind_every_node(
+            experiment, label, program)
+        if self.kind == "kv":
+            compiled.kv_state = KvWorkloadState(  # type: ignore[attr-defined]
+                observations=observations,
+                issued_writes=program.issued_writes,
+                stores=[binding.store for binding in bindings],
+                nodes=list(experiment.nodes),
+                replicas=self.replicas, write_quorum=self.write_quorum,
+                read_quorum=self.read_quorum, repair_gap=self.repair_gap,
+                start=self.start)
+        else:
+            compiled.observations = observations  # type: ignore[attr-defined]
+        return compiled
 
-        # Chain a latency recorder in front of whatever deliver handler the
-        # application registered; keep the originals for restore().
-        saved = [(node, node.handlers) for node in experiment.nodes]
-
-        def _chained(node, previous):
-            def _deliver(payload, size, mtype) -> None:
-                if isinstance(payload, AppPayload) and \
-                        payload.stream_id == stream_id:
-                    observations.record(node.address, payload, simulator.now)
-                if previous.deliver is not None:
-                    previous.deliver(payload, size, mtype)
-            return _deliver
-
-        for node, previous in saved:
-            node.handlers = replace(previous, deliver=_chained(node, previous))
-
-        def _restore() -> None:
-            for node, previous in saved:
-                node.handlers = previous
-
+    # ------------------------------------------------ kind="route"/"multicast"
+    def _probe_program(self, experiment, rng, stream_id: int) -> NodeProgram:
         key_space = experiment.nodes[0].lowest_agent.key_space
         num_nodes = len(experiment.nodes)
-
-        def _send(seqno: int, sender_index: int, dest_key: Optional[int]) -> None:
-            sender = experiment.nodes[sender_index]
-            # Sharded runs: the probe fires (and is counted, sent or
-            # skipped) only on the shard that owns the sender — everywhere
-            # else the node is a dormant replica whose state is meaningless.
-            if not experiment.owns_node(sender):
-                experiment.shard_skipped_events += 1
-                return
-            if sender.crashed or not sender.initialized:
-                observations.skipped += 1
-                return
-            observations.sent += 1
-            payload = AppPayload(seqno=seqno, sent_at=simulator.now,
-                                 source=sender.address, size=self.packet_bytes,
-                                 stream_id=stream_id)
-            if self.kind == "multicast":
-                sender.macedon_multicast(self.group, payload, self.packet_bytes)
-            else:
-                sender.macedon_route(dest_key, payload, self.packet_bytes)
-
-        # Pre-draw senders and target keys at compile time so the RNG stream
-        # does not depend on how events interleave at runtime.
-        events: list[ScenarioEvent] = []
+        ops: list[NodeOp] = []
         for seqno in range(self.packets):
             if self.source >= 0:
                 sender_index = _resolve_indices(experiment, (self.source,),
@@ -905,69 +1281,16 @@ class WorkloadModel(ScenarioModel):
             else:
                 sender_index = rng.randrange(num_nodes)
             dest_key = rng.randrange(key_space.size) if self.kind == "route" else None
-            events.append(ScenarioEvent(
-                self.start + seqno * self.gap, self.kind,
-                f"{self.kind} probe {seqno} from node {sender_index}",
-                lambda s=seqno, i=sender_index, k=dest_key: _send(s, i, k)))
-
-        from .metrics import mean, percentile  # local import avoids a cycle
-
-        def _finalize() -> dict[str, float]:
-            return {
-                "sent": float(observations.sent),
-                "skipped": float(observations.skipped),
-                "deliveries": float(observations.deliveries),
-                "duplicates": float(observations.duplicates),
-                "success_ratio": observations.success_ratio,
-                "latency_mean": mean(observations.latencies),
-                "latency_p95": percentile(observations.latencies, 0.95),
-            }
-
-        def _shard_payload() -> dict[str, Any]:
-            return {
-                "sent": observations.sent,
-                "skipped": observations.skipped,
-                "duplicates": observations.duplicates,
-                "records": observations.records,
-            }
-
-        def _shard_merge(payloads: list) -> dict[str, float]:
-            # Recompute every metric from the pooled raw observations with
-            # the exact _finalize formulas.  Records are sorted on the
-            # globally unique (receiver, seqno) key, so the latency order —
-            # and therefore the float accumulation in mean() — is the same
-            # canonical order for every shard count.
-            sent = sum(p["sent"] for p in payloads)
-            records = sorted((record for p in payloads for record in
-                              p["records"]), key=lambda r: (r[0], r[1]))
-            latencies = [latency for _receiver, _seqno, latency in records]
-            delivered_seqnos = {seqno for _receiver, seqno, _latency in records}
-            return {
-                "sent": float(sent),
-                "skipped": float(sum(p["skipped"] for p in payloads)),
-                "deliveries": float(len(records)),
-                "duplicates": float(sum(p["duplicates"] for p in payloads)),
-                "success_ratio": (len(delivered_seqnos) / sent) if sent else 0.0,
-                "latency_mean": mean(latencies),
-                "latency_p95": percentile(latencies, 0.95),
-            }
-
-        label = self.label or self.default_label()
-        compiled = CompiledModel(label, events, finalize=_finalize,
-                                 restore=_restore)
-        compiled.observations = observations  # type: ignore[attr-defined]
-        compiled.shard_payload = _shard_payload
-        compiled.shard_merge = _shard_merge
-        return compiled
+            ops.append(NodeOp(
+                self.start + seqno * self.gap, sender_index, "send",
+                (seqno, dest_key), self.kind,
+                f"{self.kind} probe {seqno} from node {sender_index}"))
+        return _ProbeProgram(ops, self.kind, self.group, self.packet_bytes,
+                             stream_id)
 
     # ------------------------------------------------------------- kind="kv"
-    def _instantiate_kv(self, experiment, rng, horizon: float,
-                        stream_id: int) -> CompiledModel:
-        from ..apps.kv import KvStore
-        from .metrics import (mean, percentile, phantom_reads,
-                              quorum_staleness, replica_coverage,
-                              requests_per_second)
-
+    def _kv_program(self, experiment, rng, horizon: float,
+                    stream_id: int) -> NodeProgram:
         if self.keys < 1:
             raise ScenarioError("kv workload needs keys >= 1")
         if not 0.0 <= self.read_fraction <= 1.0:
@@ -975,52 +1298,9 @@ class WorkloadModel(ScenarioModel):
         if self.zipf_s < 0:
             raise ScenarioError("zipf_s must be >= 0")
         num_nodes = len(experiment.nodes)
-        observations = KvObservations()
 
-        # Install a KvStore on every node; construction chains over whatever
-        # handlers the node already has, so keep those for restore().
-        saved = [(node, node.handlers) for node in experiment.nodes]
-        stores = []
-        for node in experiment.nodes:
-            store = KvStore(node, replicas=self.replicas,
-                            write_quorum=self.write_quorum,
-                            read_quorum=self.read_quorum,
-                            op_bytes=self.packet_bytes, stream_id=stream_id)
-            store.on_complete = (lambda record, client=node.address:
-                                 observations.complete(client, record))
-            stores.append(store)
-
-        def _restore() -> None:
-            for node, previous in saved:
-                node.handlers = previous
-
-        def _issue(seqno: int, node_index: int, key: int, version: int) -> None:
-            node = experiment.nodes[node_index]
-            # Sharded runs: each op fires (and is counted) only on the shard
-            # that owns its client node.
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
-            if node.crashed or not node.initialized:
-                observations.skipped += 1
-                return
-            observations.sent += 1
-            if version >= 0:
-                stores[node_index].put(key, version, seqno)
-            else:
-                stores[node_index].get(key, seqno)
-
-        def _repair(node_index: int) -> None:
-            node = experiment.nodes[node_index]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
-            if not node.crashed and node.initialized:
-                stores[node_index].repair()
-
-        # Pre-draw the whole operation schedule at compile time so the RNG
-        # stream does not depend on runtime interleaving.  Keys live in the
-        # overlay hash space; popularity is Zipf over their ranks.
+        # Keys live in the overlay hash space; popularity is Zipf over their
+        # ranks.
         key_space = experiment.nodes[0].lowest_agent.key_space
         key_ids = [rng.randrange(key_space.size) for _ in range(self.keys)]
         weights = [1.0 / (rank + 1) ** self.zipf_s for rank in range(self.keys)]
@@ -1035,7 +1315,7 @@ class WorkloadModel(ScenarioModel):
         client_pool = min(self.clients, num_nodes) if self.clients > 0 \
             else num_nodes
         issued_writes: set[tuple[int, int]] = set()
-        events: list[ScenarioEvent] = []
+        ops: list[NodeOp] = []
         for seqno in range(self.packets):
             node_index = rng.randrange(client_pool)
             key = key_ids[bisect.bisect_left(zipf_cdf, rng.random())]
@@ -1046,163 +1326,33 @@ class WorkloadModel(ScenarioModel):
             if not is_read:
                 issued_writes.add((key, version))
             op = "get" if is_read else "put"
-            events.append(ScenarioEvent(
-                self.start + seqno * self.gap, "kv",
-                f"kv {op} {seqno} key {key} from node {node_index}",
-                lambda s=seqno, i=node_index, k=key, v=version:
-                    _issue(s, i, k, v)))
+            ops.append(NodeOp(
+                self.start + seqno * self.gap, node_index, "issue",
+                (seqno, key, version), "kv",
+                f"kv {op} {seqno} key {key} from node {node_index}"))
         if self.repair_gap > 0:
             sweep_at = self.start + self.repair_gap
             while sweep_at < horizon:
                 for node_index in range(num_nodes):
-                    events.append(ScenarioEvent(
-                        sweep_at, "kv-repair",
-                        f"node {node_index} anti-entropy sweep",
-                        lambda i=node_index: _repair(i)))
+                    ops.append(NodeOp(
+                        sweep_at, node_index, "repair", (), "kv-repair",
+                        f"node {node_index} anti-entropy sweep"))
                 sweep_at += self.repair_gap
-
-        window = max(horizon - self.start, 1e-9)
-
-        def _live_stores() -> list[dict[int, int]]:
-            """key->version maps of every live *owned* node (all, unsharded)."""
-            result = []
-            for index, node in enumerate(experiment.nodes):
-                if not experiment.owns_node(node):
-                    continue
-                if node.alive and node.initialized:
-                    stores[index]._check_epoch()
-                    result.append(dict(stores[index].store))
-            return result
-
-        def _compute(sent: int, skipped: int, records: list,
-                     live_stores: list) -> dict[str, float]:
-            records = sorted(records)
-            latencies = [r[6] - r[5] for r in records]
-            puts = [r for r in records if r[2] == 0]
-            gets = [r for r in records if r[2] == 1]
-            writes = [(r[3], r[4], r[6]) for r in puts]
-            targets: dict[int, int] = {}
-            for key, version, _completed_at in writes:
-                if version > targets.get(key, -1):
-                    targets[key] = version
-            return {
-                "sent": float(sent),
-                "skipped": float(skipped),
-                "completed": float(len(records)),
-                "puts": float(len(puts)),
-                "gets": float(len(gets)),
-                "quorum_success": (len(records) / sent) if sent else 0.0,
-                "requests_per_sec": requests_per_second(len(records), window),
-                "latency_mean": mean(latencies),
-                "latency_p95": percentile(latencies, 0.95),
-                "stale_reads": float(quorum_staleness(
-                    [(r[3], r[4], r[5]) for r in gets], writes)),
-                "phantom_reads": float(phantom_reads(
-                    [(r[3], r[4]) for r in gets], issued_writes)),
-                "replica_coverage": replica_coverage(
-                    live_stores, targets, self.replicas),
-            }
-
-        def _finalize() -> dict[str, float]:
-            return _compute(observations.sent, observations.skipped,
-                            observations.records, _live_stores())
-
-        def _shard_payload() -> dict[str, Any]:
-            return {
-                "sent": observations.sent,
-                "skipped": observations.skipped,
-                "records": observations.records,
-                "stores": _live_stores(),
-            }
-
-        def _shard_merge(payloads: list) -> dict[str, float]:
-            # Each client (and each store) is owned by exactly one shard, so
-            # pooling is a disjoint union; _compute re-sorts records on the
-            # globally unique seqno, giving every shard count the identical
-            # canonical accumulation order.
-            return _compute(
-                sum(p["sent"] for p in payloads),
-                sum(p["skipped"] for p in payloads),
-                [record for p in payloads for record in p["records"]],
-                [store for p in payloads for store in p["stores"]])
-
-        label = self.label or self.default_label()
-        compiled = CompiledModel(label, events, finalize=_finalize,
-                                 restore=_restore)
-        compiled.kv_state = KvWorkloadState(  # type: ignore[attr-defined]
-            observations=observations, issued_writes=issued_writes,
-            stores=stores, nodes=list(experiment.nodes),
-            replicas=self.replicas, write_quorum=self.write_quorum,
-            read_quorum=self.read_quorum, repair_gap=self.repair_gap,
-            start=self.start)
-        compiled.shard_payload = _shard_payload
-        compiled.shard_merge = _shard_merge
-        return compiled
+        return _KvProgram(ops, self, stream_id, issued_writes,
+                          max(horizon - self.start, 1e-9))
 
     # --------------------------------------------------------- kind="pubsub"
-    def _instantiate_pubsub(self, experiment, rng, horizon: float,
-                            stream_id: int) -> CompiledModel:
-        from ..apps.pubsub import PubSub
-        from .metrics import mean, percentile, requests_per_second
-
+    def _pubsub_program(self, experiment, rng, horizon: float,
+                        stream_id: int) -> NodeProgram:
         if self.topics < 1:
             raise ScenarioError("pubsub workload needs topics >= 1")
         if self.fanout < 0:
             raise ScenarioError("fanout must be >= 0 (0 = every node)")
         num_nodes = len(experiment.nodes)
-        observations = WorkloadObservations()
-
-        saved = [(node, node.handlers) for node in experiment.nodes]
-        apps = [PubSub(node, stream_id=stream_id)
-                for node in experiment.nodes]
-
-        def _note(receiver: int):
-            def _on_delivery(delivery) -> None:
-                observations.deliveries += 1
-                observations.delivered_seqnos.add(delivery.seqno)
-                observations.latencies.append(delivery.latency)
-                observations.records.append(
-                    (receiver, delivery.seqno, delivery.latency))
-            return _on_delivery
-
-        for node, app in zip(experiment.nodes, apps):
-            app.on_delivery = _note(node.address)
-
-        def _restore() -> None:
-            for node, previous in saved:
-                node.handlers = previous
-
-        def _create(topic: int, creator_index: int) -> None:
-            node = experiment.nodes[creator_index]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
-            if node.alive and node.initialized:
-                apps[creator_index].create_topic(topic)
-
-        def _subscribe(topic: int, member_index: int) -> None:
-            node = experiment.nodes[member_index]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
-            if node.alive and node.initialized:
-                apps[member_index].subscribe(topic)
-
-        def _publish(seqno: int, publisher_index: int, topic: int) -> None:
-            node = experiment.nodes[publisher_index]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
-            if node.crashed or not node.initialized:
-                observations.skipped += 1
-                return
-            observations.sent += 1
-            apps[publisher_index].publish(topic, seqno,
-                                          size=self.packet_bytes)
 
         # Choreography: create every topic at ``start``, stagger the
         # subscriber joins, then publish after the trees have had a moment
-        # to form.  All drawn at compile time for a stable RNG stream.
+        # to form.
         creator_index = _resolve_indices(
             experiment, (max(self.source, 0),), "pubsub creator")[0]
         spacing = 0.25
@@ -1216,17 +1366,16 @@ class WorkloadModel(ScenarioModel):
         max_members = max(len(members) for members in subscribers)
         publish_start = self.start + spacing * (max_members + 1) + 2.0
 
-        events: list[ScenarioEvent] = []
+        ops: list[NodeOp] = []
         for topic, members in enumerate(subscribers):
-            events.append(ScenarioEvent(
-                self.start, "pubsub",
-                f"node {creator_index} creates topic {topic}",
-                lambda t=topic: _create(t, creator_index)))
+            ops.append(NodeOp(self.start, creator_index, "create", (topic,),
+                              "pubsub",
+                              f"node {creator_index} creates topic {topic}"))
             for offset, member in enumerate(members):
-                events.append(ScenarioEvent(
-                    self.start + (offset + 1) * spacing, "pubsub",
-                    f"node {member} subscribes to topic {topic}",
-                    lambda t=topic, m=member: _subscribe(t, m)))
+                ops.append(NodeOp(
+                    self.start + (offset + 1) * spacing, member, "subscribe",
+                    (topic,), "pubsub",
+                    f"node {member} subscribes to topic {topic}"))
 
         expected = 0
         for seqno in range(self.packets):
@@ -1239,64 +1388,13 @@ class WorkloadModel(ScenarioModel):
             # publisher does not count toward its own publication.
             expected += sum(1 for member in subscribers[topic]
                             if member != publisher_index)
-            events.append(ScenarioEvent(
-                publish_start + seqno * self.gap, "pubsub",
+            ops.append(NodeOp(
+                publish_start + seqno * self.gap, publisher_index, "publish",
+                (seqno, topic), "pubsub",
                 f"publish {seqno} on topic {topic} "
-                f"from node {publisher_index}",
-                lambda s=seqno, p=publisher_index, t=topic:
-                    _publish(s, p, t)))
-
-        window = max(horizon - self.start, 1e-9)
-
-        def _sync_duplicates() -> int:
-            return sum(app.duplicates for node, app
-                       in zip(experiment.nodes, apps)
-                       if experiment.owns_node(node))
-
-        def _compute(sent: int, skipped: int, duplicates: int,
-                     records: list) -> dict[str, float]:
-            records = sorted(records, key=lambda r: (r[0], r[1]))
-            latencies = [latency for _receiver, _seqno, latency in records]
-            delivered = {seqno for _receiver, seqno, _latency in records}
-            return {
-                "sent": float(sent),
-                "skipped": float(skipped),
-                "deliveries": float(len(records)),
-                "duplicates": float(duplicates),
-                "expected": float(expected),
-                "coverage": (len(records) / expected) if expected else 0.0,
-                "success_ratio": (len(delivered) / sent) if sent else 0.0,
-                "latency_mean": mean(latencies),
-                "latency_p95": percentile(latencies, 0.95),
-                "publishes_per_sec": requests_per_second(sent, window),
-            }
-
-        def _finalize() -> dict[str, float]:
-            return _compute(observations.sent, observations.skipped,
-                            _sync_duplicates(), observations.records)
-
-        def _shard_payload() -> dict[str, Any]:
-            return {
-                "sent": observations.sent,
-                "skipped": observations.skipped,
-                "duplicates": _sync_duplicates(),
-                "records": observations.records,
-            }
-
-        def _shard_merge(payloads: list) -> dict[str, float]:
-            return _compute(
-                sum(p["sent"] for p in payloads),
-                sum(p["skipped"] for p in payloads),
-                sum(p["duplicates"] for p in payloads),
-                [record for p in payloads for record in p["records"]])
-
-        label = self.label or self.default_label()
-        compiled = CompiledModel(label, events, finalize=_finalize,
-                                 restore=_restore)
-        compiled.observations = observations  # type: ignore[attr-defined]
-        compiled.shard_payload = _shard_payload
-        compiled.shard_merge = _shard_merge
-        return compiled
+                f"from node {publisher_index}"))
+        return _PubSubProgram(ops, stream_id, self.packet_bytes, expected,
+                              max(horizon - self.start, 1e-9))
 
 
 # -------------------------------------------------------------------- samples
@@ -1317,6 +1415,18 @@ class SampleSeries:
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ScenarioError("sample interval must be positive")
+
+
+def metric_labels(compiled_models) -> list[str]:
+    """Each compiled model's metric prefix: its label, numbered from the
+    second model sharing it (``workload``, ``workload2``, ...)."""
+    labels = []
+    counts: dict[str, int] = {}
+    for compiled in compiled_models:
+        count = counts[compiled.label] = counts.get(compiled.label, 0) + 1
+        labels.append(compiled.label if count == 1
+                      else f"{compiled.label}{count}")
+    return labels
 
 
 # --------------------------------------------------------------------- result
@@ -1462,12 +1572,8 @@ class ScenarioSpec:
             compiled.restore()
 
         metrics: dict[str, float] = {}
-        labels: dict[str, int] = {}
-        for compiled in experiment.compiled_models:
-            label = compiled.label
-            labels[label] = labels.get(label, 0) + 1
-            if labels[label] > 1:
-                label = f"{label}{labels[label]}"
+        for label, compiled in zip(metric_labels(experiment.compiled_models),
+                                   experiment.compiled_models):
             for key, value in compiled.metrics().items():
                 metrics[f"{label}.{key}"] = value
 
@@ -1631,12 +1737,9 @@ class ScenarioSpec:
         payloads = coordinator.run(worker)
 
         metrics: dict[str, float] = {}
-        labels: dict[str, int] = {}
-        for index, compiled in enumerate(experiment.compiled_models):
-            label = compiled.label
-            labels[label] = labels.get(label, 0) + 1
-            if labels[label] > 1:
-                label = f"{label}{labels[label]}"
+        for index, (label, compiled) in enumerate(zip(
+                metric_labels(experiment.compiled_models),
+                experiment.compiled_models)):
             entries = [payload["models"][index] for payload in payloads]
             if single:
                 model_metrics = entries[0]

@@ -18,17 +18,14 @@ The facade adds no semantics: each dispatch is byte-identical to calling
 the underlying entry point directly (pinned by
 ``tests/eval/test_facade.py``), and the old entry points remain public.
 
-Live mode maps the spec onto a :class:`~repro.live.LiveClusterConfig`:
-the protocol comes from reverse-resolving the spec's agents factory
-against :data:`repro.eval.library.PROTOCOLS`, the workload from the
-spec's first :class:`~repro.eval.scenario.WorkloadModel`, and the fault
-models from :func:`repro.live.faults.compile_fault_models` — churn and
-crash models become real ``SIGKILL``/respawn schedules, partition and
-degrade models become socket fault-table rules, rescaled onto the live
-workload window.  A live deployment runs one seed in one piece, and the
-live schedule (join wave + settle) replaces the model's ``start``/``gap``
-timing — everything else carries over, including every KV quorum knob and
-the pub/sub topic count.  Keyword overrides pass through to
+Live mode hands the spec itself to :class:`~repro.live.LiveCluster`
+(:class:`~repro.live.LiveClusterConfig` carries it): every node process
+binds its own node to the spec's compiled workload programs and runs its
+slice of the same op schedule the simulator runs, and the spec's fault
+models become real ``SIGKILL``/respawn schedules and socket fault-table
+rules.  Both land on the wall clock through one mapping of spec time onto
+the live workload window (after the live join wave).  A live deployment
+runs one seed in one piece.  Keyword overrides pass through to
 :class:`~repro.live.LiveClusterConfig` (e.g. ``base_port=48000``), with
 ``faults=()`` available to opt out of fault compilation.
 """
@@ -37,73 +34,10 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
-#: library protocol name -> registry spec name bootable by the live runtime.
-#: ``ringdht`` is absent by design: it is a hand-written agent, not a
-#: ``.mac`` specification the live registry can compile.
-_LIVE_PROTOCOLS = {
-    "chord": "chord",
-    "pastry": "pastry",
-    "scribe-pastry": "scribe",
-}
-
 
 def _run_live(spec, overrides: dict):
-    from .eval.fuzz import protocol_name_of
-    from .eval.scenario import ScenarioError, WorkloadModel
     from .live import LiveCluster, LiveClusterConfig
-
-    name = protocol_name_of(spec)
-    live_name = _LIVE_PROTOCOLS.get(name)
-    if live_name is None:
-        raise ScenarioError(
-            f"protocol {name!r} has no live deployment (it is not a "
-            f"compiled .mac specification); live protocols: "
-            f"{sorted(_LIVE_PROTOCOLS)}")
-    workloads = [model for model in spec.models
-                 if isinstance(model, WorkloadModel)]
-    if not workloads:
-        raise ScenarioError(
-            "live mode needs a WorkloadModel in spec.models to know what "
-            "traffic to drive")
-    model = workloads[0]
-    kwargs = dict(
-        nodes=spec.num_nodes,
-        protocol=live_name,
-        workload=model.kind,
-        packets=model.packets,
-        payload_size=model.packet_bytes,
-        group=model.group,
-        seed=spec.seed,
-    )
-    if model.kind == "kv":
-        kwargs.update(kv_keys=model.keys,
-                      kv_zipf_s=model.zipf_s,
-                      kv_read_fraction=model.read_fraction,
-                      kv_replicas=model.replicas,
-                      kv_write_quorum=model.write_quorum,
-                      kv_read_quorum=model.read_quorum)
-    elif model.kind == "pubsub":
-        kwargs.update(topics=model.topics)
-    kwargs.update(overrides)
-    if "duration" not in kwargs:
-        # Wall-clock seconds are not simulated seconds: cap the live horizon
-        # so a 300s-simulated spec does not hold real sockets for 5 minutes,
-        # but keep the workload window clear of the join wave.
-        config_probe = LiveClusterConfig(**dict(kwargs, duration=1e9))
-        kwargs["duration"] = min(float(spec.duration),
-                                 config_probe.workload_start + 10.0)
-    if "faults" not in kwargs:
-        # Compile the spec's fault models onto the live schedule (an
-        # explicit faults= override, including (), wins).
-        from .live.faults import LiveFaultError, compile_fault_models
-        try:
-            kwargs["faults"] = compile_fault_models(
-                spec, LiveClusterConfig(**kwargs))
-        except LiveFaultError as exc:
-            raise ScenarioError(
-                f"spec has a fault model with no live equivalent: {exc}; "
-                f"pass faults=() to run the workload without it") from exc
-    return LiveCluster(LiveClusterConfig(**kwargs)).run()
+    return LiveCluster(LiveClusterConfig(spec, **overrides)).run()
 
 
 def run(spec, *, seeds: Union[int, Sequence[int]] = 1, jobs: int = 1,

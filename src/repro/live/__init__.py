@@ -12,9 +12,9 @@ package is the live half of the reproduction:
   the socket-backed counterpart of the network emulator, framing the same
   ``Datagram``/``Segment`` envelopes over UDP datagrams between processes;
 * :class:`~repro.live.cluster.LiveCluster` — the multi-process harness that
-  boots N localhost nodes, drives a join wave plus a route or multicast
-  workload, and aggregates per-node observations into the same metric shapes
-  the scenario runner reports;
+  boots one localhost process per node of a scenario spec, drives a join
+  wave, runs each node's slice of the spec's compiled workload, and scores
+  the pooled per-node records with the workload model's own formulas;
 * :mod:`~repro.live.faults` — the fault plane: scenario crash/churn/
   partition/degrade models compiled onto wall-clock as real ``SIGKILL``
   schedules (with supervised respawn) and socket fault-table rules.
@@ -22,7 +22,8 @@ package is the live half of the reproduction:
 See docs/LIVE.md for the architecture and scripts/run_live.py for the CLI.
 """
 
-from .cluster import LiveCluster, LiveClusterConfig, LiveClusterError, LiveClusterResult
+from .cluster import (LiveCluster, LiveClusterConfig, LiveClusterError,
+                      LiveClusterResult, compile_live)
 from .driver import LiveDriver
 from .faults import (DegradeFault, KillNode, LinkCut, LiveFaultError,
                      PartitionFault, compile_fault_models, fault_horizon,
@@ -40,6 +41,7 @@ __all__ = [
     "LiveFaultError",
     "PartitionFault",
     "compile_fault_models",
+    "compile_live",
     "fault_horizon",
     "live_runnable",
 ]

@@ -1,23 +1,30 @@
 """Multi-process live deployments on localhost.
 
-:class:`LiveCluster` is the live counterpart of the scenario engine's
-:class:`~repro.eval.scenario.ScenarioSpec`: it boots N OS processes, each
-running one :class:`~repro.runtime.node.MacedonNode` with the *unchanged*
+:class:`LiveCluster` runs a :class:`~repro.eval.scenario.ScenarioSpec` as a
+live deployment: it boots one OS process per node, each running one
+:class:`~repro.runtime.node.MacedonNode` with the *unchanged*
 registry-compiled protocol stack on a :class:`~repro.live.driver.LiveDriver`
-clock and a :class:`~repro.transport.udp.SocketUdpNetwork` socket, drives a
-staggered join wave plus a route, multicast, KV, or pub/sub workload, and
-aggregates every
-process's observations into the same metric shapes the scenario runner
-reports (``workload.success_ratio``, ``workload.latency_*``,
-``sim.events_processed``, …) so simulated and live runs of one specification
-are directly comparable — the paper's Figure-1 promise.
+clock and a :class:`~repro.transport.udp.SocketUdpNetwork` socket.
+
+The workload is not re-implemented here.  :func:`compile_live` compiles the
+spec exactly as the simulator does (``spec.build()``, not run) and keeps each
+per-node model's :class:`~repro.eval.scenario.NodeProgram`: the pre-drawn op
+schedule plus its per-node binding.  Each process binds only its own node and
+runs its slice of the schedule, on wall-clock times from
+:meth:`LiveClusterConfig.live_time`; the coordinator then scores the pooled
+per-node payloads with the model's own formulas
+(:meth:`~repro.eval.scenario.NodeProgram.merge`), so a live run and a
+simulated run of one spec execute the same ops by construction — the paper's
+Figure-1 promise.  The coordinator computes only what is genuinely live:
+node, socket and transport counters, ring correctness, and the post-fault
+success ratio.
 
 Coordination is deliberately minimal: endpoints are a static address→port
 map computed up front, a process barrier aligns the zero of every node's
 wall clock, and results come back over a queue.  In the *data* path there is
 still no runtime coordinator — once the barrier drops, the only
 communication between nodes is protocol traffic over their UDP sockets.  The
-coordinator re-enters only as the *fault* plane: when the config carries
+coordinator re-enters only as the *fault* plane: when the run carries
 :mod:`~repro.live.faults` directives it becomes a supervisor that delivers
 real ``SIGKILL``\\ s on schedule, respawns victims under a capped exponential
 backoff and a per-node restart budget (the respawned process re-enters
@@ -39,22 +46,23 @@ import socket as socket_module
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from queue import Empty
 from typing import Any, Optional
 
-from ..eval.metrics import (correct_successor_fraction, mean, percentile,
-                            phantom_reads, replica_coverage)
-from ..eval.scenario import ScenarioResult
-
-#: Stream id stamped on workload probes so application traffic of the
-#: deployment under test is never miscounted (mirrors the scenario engine's
-#: auto-assigned workload streams).
-LIVE_WORKLOAD_STREAM = 7001
+from ..eval.metrics import correct_successor_fraction
+from ..eval.scenario import ScenarioError, ScenarioResult, metric_labels
 
 #: Lowest overlay address; 0 is avoided because the specs treat a zero
 #: address as "unset" (``if candidate:`` guards).
 _FIRST_ADDRESS = 1
+
+#: Seconds between a node's samples of its own join state and successor.
+_SAMPLE_PERIOD = 0.05
+
+#: Model metrics that need one clock across every node (staleness compares
+#: issue and completion times of different clients); omitted live.
+_SINGLE_CLOCK_METRICS = ("stale_reads",)
 
 
 class LiveClusterError(RuntimeError):
@@ -63,34 +71,22 @@ class LiveClusterError(RuntimeError):
 
 @dataclass(frozen=True)
 class LiveClusterConfig:
-    """One declarative live deployment (the live twin of a ScenarioSpec)."""
+    """How to deploy ``spec`` live: the spec plus deployment settings.
 
-    nodes: int = 8
-    protocol: str = "chord"
-    base_overrides: Optional[dict] = None
+    The population (``nodes``) and ``seed`` come from the spec.
+    """
+
+    spec: Any
     #: Measurement horizon in wall-clock seconds: the workload finishes by
-    #: this offset; processes shut down ``drain`` seconds later.
-    duration: float = 10.0
+    #: this offset; processes shut down ``drain`` seconds later.  None caps
+    #: it at 10 s past the join wave (wall seconds are not simulated
+    #: seconds: a 300 s spec must not hold real sockets for 5 minutes).
+    duration: Optional[float] = None
     join_spacing: float = 0.15
-    #: Seconds between the last join and the first workload packet.
+    #: Seconds between the last join and spec time zero.
     settle: float = 1.0
     #: Seconds after the workload window for in-flight deliveries to land.
     drain: float = 1.0
-    workload: str = "route"           # "route" | "multicast" | "kv" | "pubsub"
-    packets: int = 64                 # total probes/sends/ops/publishes
-    payload_size: int = 1000
-    group: int = 4040                 # multicast group key
-    # ---- workload="kv" knobs (mirror WorkloadModel's)
-    kv_keys: int = 64
-    kv_zipf_s: float = 1.1
-    kv_read_fraction: float = 0.7
-    kv_replicas: int = 3
-    kv_write_quorum: int = 2
-    kv_read_quorum: int = 2
-    # ---- workload="pubsub" knobs; every node subscribes to every topic
-    #      (live fanout sampling would need cross-process agreement).
-    topics: int = 4
-    seed: int = 1
     host: str = "127.0.0.1"
     base_port: int = 47000
     #: Chord's fix-fingers period, applied to any agent exposing the knob
@@ -103,8 +99,9 @@ class LiveClusterConfig:
     startup_timeout: float = 60.0
     # ---- fault plane (see repro.live.faults)
     #: Live fault directives (KillNode / PartitionFault / LinkCut /
-    #: DegradeFault), offsets from the barrier-aligned clock zero.
-    faults: tuple = ()
+    #: DegradeFault), offsets from the barrier-aligned clock zero.  None
+    #: compiles the spec's fault models; ``()`` runs without faults.
+    faults: Optional[tuple] = None
     #: How many supervised respawns any one node gets before it is
     #: accounted as permanently down (graceful degradation).
     restart_budget: int = 3
@@ -113,9 +110,6 @@ class LiveClusterConfig:
     #: directive): ``min(backoff_cap, backoff_base * 2**restarts)``.
     backoff_base: float = 0.5
     backoff_cap: float = 8.0
-    #: Recovery window after the last fault transition; probes sent past
-    #: ``fault_horizon + post_fault_settle`` score the post-fault ratio.
-    post_fault_settle: float = 2.0
     #: Raise (→ non-zero exit) when any node's LiveDriver recorded
     #: callback exceptions — a live run that "passed" while swallowing
     #: transition errors is a lie.
@@ -126,14 +120,17 @@ class LiveClusterConfig:
     #: on the aggregate result.  ``None`` (the default) keeps wire bytes
     #: and the report schema identical to an untraced run.
     obs: Optional[Any] = None
+    nodes: int = field(init=False)
+    seed: int = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", self.spec.num_nodes)
+        object.__setattr__(self, "seed", self.spec.seed)
+        if self.duration is None:
+            object.__setattr__(self, "duration", min(
+                float(self.spec.duration), self.workload_start + 10.0))
         if self.nodes < 1:
             raise LiveClusterError("a live cluster needs at least one node")
-        if self.workload not in ("route", "multicast", "kv", "pubsub"):
-            raise LiveClusterError(
-                f"unknown workload {self.workload!r} "
-                f"(route, multicast, kv, or pubsub)")
         if self.workload_start >= self.duration:
             raise LiveClusterError(
                 f"duration {self.duration}s leaves no workload window: the "
@@ -142,10 +139,15 @@ class LiveClusterConfig:
                 f"{self.settle}s); raise --duration or lower --nodes")
         if self.restart_budget < 0:
             raise LiveClusterError("restart_budget cannot be negative")
-        for fault in self.faults:
+        for fault in self.faults or ():
             if fault.at < 0:
                 raise LiveClusterError(
                     f"fault scheduled before the cluster starts: {fault}")
+
+    def __getstate__(self) -> dict:
+        # Node processes run the compiled LivePlan, not the spec, whose
+        # agent factories do not pickle into spawned workers.
+        return dict(self.__dict__, spec=None)
 
     # ------------------------------------------------------------- schedule
     @property
@@ -156,29 +158,98 @@ class LiveClusterConfig:
     def total_runtime(self) -> float:
         return self.duration + self.drain
 
-    def addresses(self) -> list[int]:
-        return [_FIRST_ADDRESS + index for index in range(self.nodes)]
+    @property
+    def time_scale(self) -> float:
+        """Wall seconds per spec second inside the workload window."""
+        return (self.duration - self.workload_start) / float(self.spec.duration)
+
+    def live_time(self, t: float) -> float:
+        """Wall-clock offset of spec time *t*.
+
+        ``[0, spec.duration]`` maps linearly onto the workload window
+        ``[workload_start, duration]`` — the live join wave and settle
+        replace the spec's join schedule — clamped clear of the horizon.
+        """
+        t = min(max(float(t), 0.0), float(self.spec.duration))
+        return round(min(self.workload_start + t * self.time_scale,
+                         self.duration - 0.25), 3)
 
     def endpoints(self) -> dict[int, tuple[str, int]]:
         return {_FIRST_ADDRESS + index: (self.host, self.base_port + index)
                 for index in range(self.nodes)}
 
-    def probes_for(self, index: int) -> int:
-        """Round-robin split of the workload packets across nodes."""
-        if self.workload == "multicast":
-            return self.packets if index == 0 else 0
-        base, extra = divmod(self.packets, self.nodes)
-        return base + (1 if index < extra else 0)
 
-    def seqno_base(self, index: int) -> int:
-        """First global sequence number of node *index*'s probes.
+@dataclass(frozen=True)
+class LivePlan:
+    """What :func:`compile_live` compiles a spec to; pickles into workers."""
 
-        Seqnos are globally unique across the deployment (as in the scenario
-        engine, where one counter spans all probes), so the coordinator can
-        compute distinct-probes-delivered-anywhere without a seqno collision
-        between two senders masking a loss.
-        """
-        return sum(self.probes_for(i) for i in range(index))
+    name: str
+    #: Registry ``(name, base)`` keys of the agent stack, lowest layer first.
+    stack: tuple
+    #: Metric label and NodeProgram of every per-node model, in apply order.
+    labels: tuple
+    programs: tuple
+    #: Per node index: ``(live time, program position, NodeOp)`` triples.
+    ops: tuple
+    faults: tuple
+
+
+def compile_live(config: LiveClusterConfig) -> LivePlan:
+    """Compile ``config.spec`` for live deployment.
+
+    This is the one live-eligibility check: it raises
+    :class:`~repro.eval.scenario.ScenarioError` when the spec's agents are
+    not registry-compiled ``.mac`` specifications (only those can be
+    rebuilt in a node process), when it has no WorkloadModel, or when a
+    fault model has no live equivalent.  The op schedule comes from the
+    simulator's own compile (``spec.build()``, not run), so the two modes
+    run the same ops; op times map onto the wall clock with
+    :meth:`LiveClusterConfig.live_time`, the mapping the fault compiler
+    uses, so an op that follows a fault in simulation follows it live.
+    """
+    from ..codegen.registry import get_registry
+    from ..eval.scenario import WorkloadModel
+    from .faults import LiveFaultError, compile_fault_models
+
+    spec = config.spec
+    stack = get_registry().recipe_of(spec.resolve_agents())
+    if stack is None:
+        raise ScenarioError(
+            f"spec {spec.name!r} has no live deployment: its agents are not "
+            f"compiled .mac specifications the live registry can rebuild")
+    workloads = [model for model in spec.models
+                 if isinstance(model, WorkloadModel)]
+    if not workloads:
+        raise ScenarioError(
+            "live mode needs a WorkloadModel in spec.models: no "
+            "WorkloadModel to drive live traffic")
+    faults = config.faults
+    if faults is None:
+        try:
+            faults = compile_fault_models(config)
+        except LiveFaultError as exc:
+            raise ScenarioError(
+                f"spec has a fault model with no live equivalent: {exc}; "
+                f"pass faults=() to run the workload without it") from exc
+    compiled_models = replace(spec, obs=None).build().compiled_models
+    labels, programs = [], []
+    ops: list[list] = [[] for _ in range(config.nodes)]
+    for label, compiled in zip(metric_labels(compiled_models),
+                               compiled_models):
+        program = getattr(compiled, "program", None)
+        if program is None:
+            continue   # join/fault models: the join wave and fault plane
+        for op in program.ops:
+            if op.time <= spec.duration:   # later ops never fire in sim
+                ops[op.node].append(
+                    (config.live_time(op.time), len(programs), op))
+        labels.append(label)
+        programs.append(program)
+    return LivePlan(name=f"live-{stack[-1][0]}-{workloads[0].kind}",
+                    stack=stack, labels=tuple(labels),
+                    programs=tuple(programs),
+                    ops=tuple(tuple(node_ops) for node_ops in ops),
+                    faults=tuple(faults))
 
 
 @dataclass
@@ -201,26 +272,37 @@ def _apply_protocol_knobs(node, config: LiveClusterConfig) -> None:
                 setattr(agent, "fix_period", config.fix_period)
 
 
-async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
-                     ready=None, incarnation: int = 0,
-                     clock_zero: Optional[float] = None) -> dict:
-    """One node process: boot, join, run the workload, report.
+def _clock_zero(clock) -> float:
+    """The cluster clock's zero: the wall time the first barrier party to
+    get here stamped into the shared value.  Every process (and every
+    respawn) reads the same zero, so driver times compare across nodes."""
+    with clock.get_lock():
+        if not clock.value:
+            clock.value = time.time()
+        return clock.value
+
+
+async def _node_main(config: LiveClusterConfig, plan: LivePlan, index: int,
+                     barrier, clock, *, ready=None,
+                     incarnation: int = 0) -> dict:
+    """One node process: boot, join, run its ops, report.
 
     ``incarnation`` 0 is the barrier-aligned cold boot.  A supervisor
     respawn (``incarnation`` > 0) skips the barrier — the cluster is already
-    running — and instead resumes the shared cluster clock from
-    ``clock_zero``, rebuilding its protocol stack through the node's
-    fail-stop recovery path so the transport demux re-keys under the new
-    restart epoch (a peer's stale retransmission state cannot poison the
-    reborn node, and vice versa).
+    running — and resumes the shared cluster clock mid-timeline, rebuilding
+    its protocol stack through the node's fail-stop recovery path so the
+    transport demux re-keys under the new restart epoch (a peer's stale
+    retransmission state cannot poison the reborn node, and vice versa).
     """
     # Imports happen here (not at module top) so a "spawn" child pays them
     # once, inside its own interpreter.
+    import asyncio
+
     from ..codegen.registry import get_registry
-    from ..runtime.node import MacedonNode
+    from ..obs.probes import workload_tallies
     from ..runtime.messages import WireCodec
+    from ..runtime.node import MacedonNode
     from ..transport.udp import SocketUdpNetwork
-    from ..apps.payload import AppPayload
     from .driver import LiveDriver
 
     address = _FIRST_ADDRESS + index
@@ -229,13 +311,13 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
         # A reborn bootstrap node must re-join *someone else's* ring; its
         # usual self-bootstrap would found a fresh one-node overlay.
         bootstrap = _FIRST_ADDRESS + 1
-    stack = get_registry().load_stack(config.protocol,
-                                     dict(config.base_overrides or {}))
+    registry = get_registry()
+    stack = [registry.load_protocol(name, base=base)
+             for name, base in plan.stack]
     codec = WireCodec.for_agents(stack)
     network = SocketUdpNetwork(address, config.endpoints(), codec)
     await network.open()
     try:
-        import asyncio
         loop = asyncio.get_running_loop()
         driver = LiveDriver(seed=config.seed)
         if incarnation == 0:
@@ -252,9 +334,7 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
                 raise LiveClusterError(
                     f"node {address}: cluster start barrier broke "
                     f"(a peer failed to boot?): {exc!r}") from exc
-            driver.start(loop)
-        else:
-            driver.start(loop, now=time.time() - clock_zero)
+        driver.start(loop, now=time.time() - _clock_zero(clock))
 
         # Observability (repro.obs): a per-node tracer honouring the run's
         # category overrides, plus — when causal tracing is on — the wire
@@ -281,19 +361,12 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
             node.recover()
         _apply_protocol_knobs(node, config)
 
-        # Delivery accounting mirrors the scenario engine's
-        # WorkloadObservations: duplicate (this receiver, seqno) pairs are
-        # counted separately, never scored, and the coordinator unions the
-        # distinct delivered seqnos across nodes for the success ratio.
-        sent = 0
-        duplicates = 0
-        delivered_seqnos: set[int] = set()
-        latencies: list[float] = []
-        #: (seqno, cluster time) per probe actually sent — the coordinator
-        #: scores against the union of these, so probes a dead incarnation
-        #: never sent are not charged and post-fault probes are dateable.
-        sent_records: list[tuple[int, float]] = []
-        kv_app = ps_app = None
+        # The spec's per-node models, bound to this node only.
+        bound = []
+        for program in plan.programs:
+            observations = program.observations()
+            bound.append((program, observations,
+                          program.bind(node, observations)))
 
         if config.obs is not None:
             # Answer coordinator stats polls over the control channel while
@@ -306,13 +379,15 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
                 reply_to = op.get("reply_to")
                 if not reply_to:
                     return
+                sent, delivered, *_ = workload_tallies(
+                    observations for _, observations, _ in bound)
                 stats_op = {
                     "op": "obs-stats",
                     "address": address,
                     "events_processed": driver.events_processed,
                     "errors": driver.error_count,
                     "sent": sent,
-                    "delivered": len(delivered_seqnos),
+                    "delivered": delivered,
                     "socket": network.stats(),
                 }
                 network.send_raw(
@@ -320,29 +395,6 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
                     (reply_to[0], int(reply_to[1])))
 
             network.set_control_callback(on_control)
-
-        if config.workload in ("route", "multicast"):
-            def on_deliver(payload, size, mtype) -> None:
-                nonlocal duplicates
-                if isinstance(payload, AppPayload) \
-                        and payload.stream_id == LIVE_WORKLOAD_STREAM:
-                    if payload.seqno in delivered_seqnos:
-                        duplicates += 1
-                        return
-                    delivered_seqnos.add(payload.seqno)
-                    latencies.append(time.time() - payload.sent_at)
-
-            node.macedon_register_handlers(deliver=on_deliver)
-        elif config.workload == "kv":
-            from ..apps.kv import KvStore
-            kv_app = KvStore(node, replicas=config.kv_replicas,
-                             write_quorum=config.kv_write_quorum,
-                             read_quorum=config.kv_read_quorum,
-                             op_bytes=config.payload_size,
-                             stream_id=LIVE_WORKLOAD_STREAM)
-        else:
-            from ..apps.pubsub import PubSub
-            ps_app = PubSub(node, stream_id=LIVE_WORKLOAD_STREAM)
 
         # --- join wave (bootstrap at t=0, the rest staggered); a respawn
         #     re-joins almost immediately — its downtime already happened.
@@ -354,137 +406,43 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
             driver.schedule(0.05, node.macedon_init, bootstrap,
                             label="live-rejoin")
 
-        # --- workload ------------------------------------------------------
-        probes = config.probes_for(index)
-        seqno_base = config.seqno_base(index)
-        rng = driver.fork_rng(f"live-workload:{address}")
-        window = config.duration - config.workload_start
+        # --- this node's slice of the compiled op schedule
+        for at, position, op in plan.ops[index]:
+            program, observations, binding = bound[position]
+            if at <= driver.now + 0.01:
+                # This incarnation was born after the op's slot; the dead
+                # incarnation may or may not have issued it, but its record
+                # is gone either way — count, don't reissue.
+                if op.action == program.measured:
+                    observations.skipped += 1
+                continue
+            driver.schedule_at(at, getattr(binding, op.action), *op.args,
+                               label=f"live-{op.kind}")
 
-        kv_issued_writes: list[tuple[int, int]] = []
+        # --- recovery samples: when this incarnation's overlay join
+        #     completed, and every change of its successor pointer.
+        joined_at: Optional[float] = None
+        successors: list[tuple[float, Any]] = []
 
-        def send_probe(seqno: int) -> None:
-            nonlocal sent
-            sent += 1
-            sent_records.append((seqno, round(driver.now, 3)))
-            payload = AppPayload(seqno=seqno, sent_at=time.time(),
-                                 source=address, size=config.payload_size,
-                                 stream_id=LIVE_WORKLOAD_STREAM)
-            if config.workload == "route":
-                target = rng.randrange(node.highest_agent.key_space.size)
-                node.macedon_route(target, payload, config.payload_size)
-            else:
-                node.macedon_multicast(config.group, payload,
-                                       config.payload_size)
+        def sample() -> None:
+            nonlocal joined_at
+            if joined_at is None and node.initialized and \
+                    node.lowest_agent.state not in ("init", "joining"):
+                joined_at = round(driver.now, 3)
+            highest = node.highest_agent
+            if hasattr(highest, "successor") and \
+                    (not successors or successors[-1][1] != highest.successor):
+                successors.append((round(driver.now, 3), highest.successor))
+            driver.schedule(_SAMPLE_PERIOD, sample, label="live-sample")
 
-        if config.workload == "kv":
-            # The key working set must be identical on every node, so it
-            # comes from a shared-label RNG fork (same seed everywhere);
-            # which keys this node's ops hit stays on the per-node stream.
-            import bisect
-            keys_rng = driver.fork_rng("live-kv-keys")
-            key_space = node.highest_agent.key_space
-            key_ids = [keys_rng.randrange(key_space.size)
-                       for _ in range(config.kv_keys)]
-            weights = [1.0 / (rank + 1) ** config.kv_zipf_s
-                       for rank in range(config.kv_keys)]
-            total_weight = sum(weights)
-            zipf_cdf: list[float] = []
-            acc = 0.0
-            for weight in weights:
-                acc += weight / total_weight
-                zipf_cdf.append(acc)
-            zipf_cdf[-1] = 1.0
-
-            def send_op(seqno: int) -> None:
-                nonlocal sent
-                sent += 1
-                sent_records.append((seqno, round(driver.now, 3)))
-                key = key_ids[bisect.bisect_left(zipf_cdf, rng.random())]
-                if rng.random() < config.kv_read_fraction:
-                    kv_app.get(key, seqno)
-                else:
-                    # Versions double as values: the globally unique seqno.
-                    kv_issued_writes.append((key, seqno))
-                    kv_app.put(key, seqno, seqno)
-
-            send = send_op
-        elif config.workload == "pubsub":
-            group_setup = max(0.0, config.workload_start - config.settle)
-            if incarnation == 0:
-                for topic in range(config.topics):
-                    if index == 0:
-                        driver.schedule_at(group_setup, ps_app.create_topic,
-                                           topic, label="live-create-topic")
-                    driver.schedule_at(group_setup + 0.2 + 0.01 * index,
-                                       ps_app.subscribe, topic,
-                                       label="live-subscribe")
-            else:
-                # The topics already exist; a reborn subscriber re-registers.
-                for topic in range(config.topics):
-                    driver.schedule(0.4 + 0.01 * topic, ps_app.subscribe,
-                                    topic, label="live-resubscribe")
-
-            def send_publish(seqno: int) -> None:
-                nonlocal sent
-                sent += 1
-                sent_records.append((seqno, round(driver.now, 3)))
-                ps_app.publish(seqno % config.topics, seqno,
-                               size=config.payload_size)
-
-            send = send_publish
-        else:
-            if config.workload == "multicast":
-                group_setup = max(0.0, config.workload_start - config.settle)
-                if incarnation == 0 and index == 0:
-                    driver.schedule_at(group_setup, node.macedon_create_group,
-                                       config.group, label="live-create-group")
-                elif incarnation == 0:
-                    driver.schedule_at(group_setup + 0.2, node.macedon_join,
-                                       config.group, label="live-join-group")
-                else:
-                    driver.schedule(0.4, node.macedon_join, config.group,
-                                    label="live-rejoin-group")
-            send = send_probe
-        skipped = 0
-        if probes:
-            gap = window / (probes + 1)
-            for offset in range(probes):
-                when = config.workload_start + (offset + 1) * gap
-                if when <= driver.now + 0.01:
-                    # This incarnation was born after the probe's slot; the
-                    # dead incarnation may or may not have sent it, but its
-                    # record is gone either way — count, don't resend.
-                    skipped += 1
-                    continue
-                driver.schedule_at(when, send, seqno_base + offset,
-                                   label="live-probe")
-
+        sample()
         await driver.run_for(max(0.0, config.total_runtime - driver.now))
 
         # --- report --------------------------------------------------------
-        kv_extra = ps_extra = None
-        if config.workload == "kv":
-            # A KV "delivery" is one completed client op; seqnos are globally
-            # unique, so the per-node completed sets union cleanly upstream.
-            for record in kv_app.completed:
-                delivered_seqnos.add(record.seqno)
-                latencies.append(record.latency)
-            kv_app._check_epoch()
-            kv_extra = {
-                "records": [(record.seqno, 0 if record.kind == "put" else 1,
-                             record.key, record.version, record.acks)
-                            for record in sorted(kv_app.completed,
-                                                 key=lambda r: r.seqno)],
-                "issued_writes": kv_issued_writes,
-                "store": sorted(kv_app.store.items()),
-            }
-        elif config.workload == "pubsub":
-            duplicates = ps_app.duplicates
-            for delivery in ps_app.deliveries:
-                delivered_seqnos.add(delivery.seqno)
-                latencies.append(delivery.latency)
-            ps_extra = {"deliveries": len(ps_app.deliveries)}
-
+        payloads = [program.payload(observations, [binding])
+                    for program, observations, binding in bound]
+        sent, delivered, _, skipped, latencies = workload_tallies(
+            observations for _, observations, _ in bound)
         transport_totals = {"messages_sent": 0, "messages_delivered": 0,
                             "segments_sent": 0, "segments_received": 0,
                             "retransmissions": 0, "drops": 0}
@@ -498,11 +456,13 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
             "epoch": node.transport_host.epoch,
             "sent": sent,
             "skipped": skipped,
-            "sent_records": sent_records,
-            "delivered": len(delivered_seqnos),
-            "delivered_seqnos": sorted(delivered_seqnos),
-            "duplicates": duplicates,
+            "delivered": delivered,
+            # Pub/sub counts duplicates in its apps, not its observations.
+            "duplicates": sum(p.get("duplicates", 0) for p in payloads),
             "latencies": latencies[:1000],
+            "programs": payloads,
+            "joined_at": joined_at,
+            "successors": successors,
             "events_processed": driver.events_processed,
             "callback_errors": [repr(exc) for exc in driver.errors][:5],
             "callback_error_count": driver.error_count,
@@ -518,10 +478,6 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
                 report["causal"] = {"traces": causal.traces,
                                     "hops": causal.hop_count,
                                     "records": causal.hops}
-        if kv_extra is not None:
-            report["kv"] = kv_extra
-        if ps_extra is not None:
-            report["pubsub"] = ps_extra
         highest = node.highest_agent
         if hasattr(highest, "successor"):
             report["ring"] = {"my_key": highest.my_key,
@@ -531,14 +487,14 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
         network.close()
 
 
-def _worker_entry(config: LiveClusterConfig, index: int, barrier,
-                  results, ready=None, incarnation: int = 0,
-                  clock_zero: Optional[float] = None) -> None:
+def _worker_entry(config: LiveClusterConfig, plan: LivePlan, index: int,
+                  barrier, clock, results, ready=None,
+                  incarnation: int = 0) -> None:
     import asyncio
     try:
-        report = asyncio.run(_node_main(config, index, barrier, ready=ready,
-                                        incarnation=incarnation,
-                                        clock_zero=clock_zero))
+        report = asyncio.run(_node_main(config, plan, index, barrier, clock,
+                                        ready=ready,
+                                        incarnation=incarnation))
     except BaseException as exc:   # noqa: BLE001 - ship the failure home
         if barrier is not None:
             try:
@@ -551,6 +507,47 @@ def _worker_entry(config: LiveClusterConfig, index: int, barrier,
                              "traceback": traceback.format_exc()}))
         return
     results.put((index, report))
+
+
+def _successor_at(trace: list, t: float) -> Any:
+    """The successor a node's sample trace held at time *t*."""
+    current = None
+    for at, successor in trace:
+        if at > t:
+            break
+        current = successor
+    return current
+
+
+def _observed_recovery(reports: list[dict], faults) -> Optional[float]:
+    """When the deployment observably recovered from its faults.
+
+    Not before the last fault transition, nor before every respawned node's
+    own report says its overlay join completed; where the protocol has a
+    ``successor`` pointer, at the first sample after that at which every
+    surviving node's successor is ring-correct.  None if the run ended
+    first.
+    """
+    from .faults import fault_horizon
+
+    start = fault_horizon(faults)
+    for report in reports:
+        if report["incarnation"]:
+            if report["joined_at"] is None:
+                return None
+            start = max(start, report["joined_at"])
+    if not reports or any("ring" not in report for report in reports):
+        return start
+    membership = [(report["ring"]["my_key"], report["address"])
+                  for report in reports]
+    changes = {at for report in reports
+               for at, _ in report["successors"] if at > start}
+    for t in sorted(changes | {start}):
+        successors = {report["address"]: _successor_at(report["successors"], t)
+                      for report in reports}
+        if correct_successor_fraction(membership, successors) == 1.0:
+            return t
+    return None
 
 
 # -------------------------------------------------------------- coordinator
@@ -568,8 +565,8 @@ class LiveCluster:
         return multiprocessing.get_context(method)
 
     # ------------------------------------------------------------ fault plan
-    def _compile_actions(self, push_action) -> None:
-        """Turn the config's fault directives into timed coordinator actions.
+    def _compile_actions(self, faults, push_action) -> None:
+        """Turn fault directives into timed coordinator actions.
 
         Kills become ``("kill", directive)``; network directives become
         ``("control", (key, op))`` pairs — *key* identifies the standing rule
@@ -578,7 +575,7 @@ class LiveCluster:
         """
         from .faults import DegradeFault, KillNode, LinkCut, PartitionFault
 
-        for fault in self.config.faults:
+        for fault in faults:
             if isinstance(fault, KillNode):
                 push_action(fault.at, "kill", fault)
             elif isinstance(fault, PartitionFault):
@@ -617,18 +614,17 @@ class LiveCluster:
     # ------------------------------------------------------------------- run
     def run(self) -> LiveClusterResult:
         config = self.config
-        # Compile the stack up front: it validates the protocol name before
-        # any process starts, and fork children inherit the warm registry.
-        from ..codegen.registry import get_registry
+        # Compile up front: it rejects an ineligible spec before any process
+        # starts, and fork children inherit the warm registry.
+        plan = compile_live(config)
         from ..transport.udp import SocketUdpNetwork
-        get_registry().load_stack(config.protocol,
-                                  dict(config.base_overrides or {}))
 
         ctx = self._context()
-        supervise = bool(config.faults)
+        supervise = bool(plan.faults)
         # The coordinator is the (nodes+1)-th barrier party, so it learns
         # "everyone booted" (and the cluster clock zero) without a report.
         barrier = ctx.Barrier(config.nodes + 1)
+        clock = ctx.Value("d", 0.0)
         ready = ctx.Array("b", config.nodes)
         results_queue = ctx.Queue()
         endpoints = config.endpoints()
@@ -640,18 +636,17 @@ class LiveCluster:
         }
         all_processes: list = []
 
-        def spawn(index: int, incarnation: int,
-                  clock_zero: Optional[float]) -> None:
+        def spawn(index: int, incarnation: int) -> None:
             name = f"live-node-{_FIRST_ADDRESS + index}"
             if incarnation:
                 name = f"{name}.{incarnation}"
             process = ctx.Process(
                 target=_worker_entry,
-                args=(config, index,
-                      barrier if incarnation == 0 else None,
+                args=(config, plan, index,
+                      barrier if incarnation == 0 else None, clock,
                       results_queue,
                       ready if incarnation == 0 else None,
-                      incarnation, clock_zero),
+                      incarnation),
                 name=name, daemon=True)
             process.start()
             all_processes.append(process)
@@ -663,7 +658,7 @@ class LiveCluster:
         def push_action(at: float, kind: str, payload) -> None:
             heapq.heappush(actions, (at, next(action_seq), kind, payload))
 
-        self._compile_actions(push_action)
+        self._compile_actions(plan.faults, push_action)
         #: Standing network-fault rules (key → op), replayed to respawned
         #: nodes whose fresh fault tables would otherwise leak traffic
         #: through an unhealed partition.
@@ -698,13 +693,13 @@ class LiveCluster:
 
         try:
             for index in range(config.nodes):
-                spawn(index, 0, None)
+                spawn(index, 0)
             try:
                 barrier.wait(config.startup_timeout)
             except threading.BrokenBarrierError:
                 raise self._startup_failure(results_queue, reports, state,
                                             ready) from None
-            t0 = time.time()
+            t0 = _clock_zero(clock)
             deadline = t0 + config.total_runtime + 30.0
 
             while True:
@@ -727,7 +722,7 @@ class LiveCluster:
                         node_state["incarnation"] += 1
                         node_state["restarts"] += 1
                         node_state["pending_respawn"] = False
-                        spawn(index, node_state["incarnation"], t0)
+                        spawn(index, node_state["incarnation"])
                         if active_ops:
                             # The reborn socket needs the standing rules;
                             # send once it is plausibly bound, then again in
@@ -851,7 +846,7 @@ class LiveCluster:
             "respawns": sum(s["restarts"] for s in state.values()),
             "down": sum(1 for s in state.values() if s["down"]),
         }
-        outcome = self._aggregate(per_node, supervisor=supervisor,
+        outcome = self._aggregate(plan, per_node, supervisor=supervisor,
                                   wall_samples=wall_samples)
 
         if config.fail_on_driver_errors:
@@ -948,136 +943,74 @@ class LiveCluster:
             "epoch": node_state["incarnation"],
             "sent": 0,
             "skipped": 0,
-            "sent_records": [],
             "delivered": 0,
-            "delivered_seqnos": [],
             "duplicates": 0,
             "latencies": [],
             "events_processed": 0,
             "callback_errors": [],
             "callback_error_count": 0,
-            "transport": {"messages_sent": 0, "messages_delivered": 0,
-                          "segments_sent": 0, "segments_received": 0,
-                          "retransmissions": 0, "drops": 0},
-            "socket": {"frames_sent": 0, "frames_received": 0,
-                       "bytes_sent": 0, "bytes_received": 0,
-                       "send_drops": 0, "decode_errors": 0,
-                       "fault_drops": 0, "fragments_sent": 0,
-                       "fragments_received": 0, "reassembly_timeouts": 0,
-                       "control_frames": 0},
+            "transport": {},
+            "socket": {},
         }
 
     # ------------------------------------------------------------ aggregation
-    def _aggregate(self, per_node: list[dict],
-                   supervisor: Optional[dict] = None,
-                   wall_samples: Optional[list] = None) -> LiveClusterResult:
-        """Score exactly as the scenario engine's WorkloadObservations does:
-        ``deliveries`` counts deduped (receiver, seqno) upcalls, and
-        ``success_ratio`` is distinct probes delivered *anywhere* over
-        probes *accounted as sent* (the union of surviving incarnations'
-        send records — a probe whose sender died before its slot is not a
-        loss, it was never sent) — so a live run and a simulated run of one
-        spec are read off the same ruler."""
+    def _aggregate(self, plan: LivePlan, per_node: list[dict],
+                   supervisor: dict,
+                   wall_samples: list) -> LiveClusterResult:
+        """Score the pooled per-node payloads with each model's own
+        formulas, then add what only a live run has: node, socket and
+        transport counters, ring correctness, and the success ratio of ops
+        issued after the deployment observably recovered from its faults."""
         config = self.config
-        sent = sum(report["sent"] for report in per_node)
-        deliveries = sum(report["delivered"] for report in per_node)
-        delivered_anywhere: set[int] = set()
-        accounted: set[int] = set()
-        latencies: list[float] = []
-        for report in per_node:
-            delivered_anywhere.update(report["delivered_seqnos"])
-            accounted.update(seqno for seqno, _
-                             in report.get("sent_records", ()))
-            latencies.extend(report["latencies"])
-        if accounted:
-            success_ratio = (len(delivered_anywhere & accounted)
-                             / len(accounted))
-        else:
-            success_ratio = len(delivered_anywhere) / sent if sent else 0.0
-        metrics: dict[str, float] = {
-            "workload.sent": float(sent),
-            "workload.skipped": float(sum(
-                report.get("skipped", 0) for report in per_node)),
-            "workload.deliveries": float(deliveries),
-            "workload.duplicates": float(sum(
-                report["duplicates"] for report in per_node)),
-            "workload.success_ratio": success_ratio,
-            "workload.latency_mean": mean(latencies),
-            "workload.latency_p95": percentile(latencies, 0.95),
+        alive_reports = [report for report in per_node
+                         if not report.get("down")]
+        recovered_at = (_observed_recovery(alive_reports, plan.faults)
+                        if plan.faults else None)
+        metrics: dict[str, float] = {}
+        for position, (label, program) in enumerate(zip(plan.labels,
+                                                        plan.programs)):
+            payloads = [report["programs"][position]
+                        for report in alive_reports]
+            for key, value in program.merge(payloads).items():
+                if key not in _SINGLE_CLOCK_METRICS:
+                    metrics[f"{label}.{key}"] = value
+            if recovered_at is None or program.measured is None:
+                continue
+            issued_at = {op.args[0]: at for node_ops in plan.ops
+                         for at, where, op in node_ops
+                         if where == position and op.action == program.measured}
+            late = {seqno for payload in payloads for seqno in payload["sent"]
+                    if issued_at[seqno] >= recovered_at}
+            if late:
+                done = {record[program.seqno_field]
+                        for record in program.pooled_records(payloads)}
+                metrics[f"{label}.post_fault_success_ratio"] = \
+                    len(done & late) / len(late)
+
+        def total(section: str, key: str) -> float:
+            return float(sum(report[section].get(key, 0)
+                             for report in per_node))
+
+        metrics.update({
             "nodes.count": float(config.nodes),
             "nodes.joined": float(sum(
                 1 for report in per_node
                 if report["state"] not in ("init", "down"))),
             "nodes.callback_errors": float(sum(
                 report["callback_error_count"] for report in per_node)),
+            "nodes.killed": float(supervisor["killed"]),
+            "nodes.respawns": float(supervisor["respawns"]),
+            "nodes.down": float(supervisor["down"]),
             "sim.events_processed": float(sum(
                 report["events_processed"] for report in per_node)),
-            "transport.messages_sent": float(sum(
-                report["transport"]["messages_sent"] for report in per_node)),
-            "transport.retransmissions": float(sum(
-                report["transport"]["retransmissions"] for report in per_node)),
-            "socket.decode_errors": float(sum(
-                report["socket"]["decode_errors"] for report in per_node)),
-            "socket.fault_drops": float(sum(
-                report["socket"].get("fault_drops", 0)
-                for report in per_node)),
-            "socket.reassembly_timeouts": float(sum(
-                report["socket"].get("reassembly_timeouts", 0)
-                for report in per_node)),
-        }
-        if supervisor is not None:
-            metrics["nodes.killed"] = float(supervisor["killed"])
-            metrics["nodes.respawns"] = float(supervisor["respawns"])
-            metrics["nodes.down"] = float(supervisor["down"])
-        if config.faults:
-            from .faults import fault_horizon
-            recovered_at = (fault_horizon(config.faults)
-                            + config.post_fault_settle)
-            late = {seqno for report in per_node
-                    for seqno, at in report.get("sent_records", ())
-                    if at >= recovered_at}
-            if late:
-                metrics["workload.post_fault_success_ratio"] = \
-                    len(delivered_anywhere & late) / len(late)
-        if config.workload == "kv":
-            # success_ratio already reads as quorum success (distinct
-            # completed ops over ops issued); add the consistency metrics
-            # that are sound across processes.  Staleness needs a
-            # strictly-before clock, which wall clocks across processes do
-            # not give us, so live reports the version-space checks only.
-            records = []
-            issued_writes: set[tuple[int, int]] = set()
-            stores = []
-            for report in per_node:
-                if "kv" not in report:
-                    continue   # a down node's store is gone with it
-                records.extend(report["kv"]["records"])
-                issued_writes.update(
-                    (key, version)
-                    for key, version in report["kv"]["issued_writes"])
-                stores.append(dict(report["kv"]["store"]))
-            reads = [(key, version) for _, kind, key, version, _ in records
-                     if kind == 1]
-            metrics["workload.completed"] = float(len(records))
-            metrics["workload.puts"] = float(sum(
-                1 for _, kind, *_ in records if kind == 0))
-            metrics["workload.gets"] = float(len(reads))
-            metrics["workload.quorum_success"] = \
-                metrics["workload.success_ratio"]
-            metrics["workload.phantom_reads"] = float(
-                phantom_reads(reads, issued_writes))
-            latest_writes: dict[int, int] = {}
-            for key, version in issued_writes:
-                latest_writes[key] = max(latest_writes.get(key, -1), version)
-            metrics["workload.replica_coverage"] = replica_coverage(
-                stores, latest_writes, config.kv_replicas)
-        elif config.workload == "pubsub":
-            expected = sent * max(config.nodes - 1, 0)
-            metrics["workload.expected"] = float(expected)
-            metrics["workload.coverage"] = \
-                deliveries / expected if expected else 0.0
-        alive_reports = [report for report in per_node
-                         if not report.get("down")]
+            "transport.messages_sent": total("transport", "messages_sent"),
+            "transport.retransmissions": total("transport",
+                                               "retransmissions"),
+            "socket.decode_errors": total("socket", "decode_errors"),
+            "socket.fault_drops": total("socket", "fault_drops"),
+            "socket.reassembly_timeouts": total("socket",
+                                                "reassembly_timeouts"),
+        })
         rings = [report["ring"] for report in alive_reports
                  if "ring" in report]
         if len(rings) == len(alive_reports) and rings:
@@ -1096,10 +1029,9 @@ class LiveCluster:
                 registry, per_node, nodes_total=config.nodes,
                 nodes_alive=len(alive_reports))
             obs_snapshot = artifact(
-                registry, mode="live",
-                name=f"live-{config.protocol}-{config.workload}",
+                registry, mode="live", name=plan.name,
                 seed=config.seed, duration=config.duration)
-            obs_snapshot["wallclock"] = wall_samples or []
+            obs_snapshot["wallclock"] = wall_samples
             if config.obs.snapshot_path:
                 write_obs_snapshot(config.obs.snapshot_path, obs_snapshot)
             if config.obs.trace_path:
@@ -1107,7 +1039,7 @@ class LiveCluster:
                                  meta={"mode": "live",
                                        "seed": config.seed})
         result = ScenarioResult(
-            name=f"live-{config.protocol}-{config.workload}",
+            name=plan.name,
             seed=config.seed,
             duration=config.duration,
             metrics=metrics,

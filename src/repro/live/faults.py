@@ -19,11 +19,13 @@ coordinator executes for real:
 Times are offsets from the cluster's barrier-aligned clock zero.  Because a
 live run compresses a multi-minute simulated timeline into a few wall-clock
 seconds, :func:`compile_fault_models` rescales model times linearly onto the
-live workload window (join wave and settle excluded) and floors the rescaled
-downtimes so a respawn is a real outage, not a scheduling artifact.  Victim
-sampling draws from ``random.Random(f"{seed}:live-faults")`` — reproducible
-per seed, though not the same victims the simulator samples (the
-differential harness compares metric distributions, not event logs).
+live workload window (join wave and settle excluded) with
+:meth:`~repro.live.cluster.LiveClusterConfig.live_time` — the mapping the
+workload's ops use too — and floors the rescaled downtimes so a respawn is
+a real outage, not a scheduling artifact.  Victim sampling draws from
+``random.Random(f"{seed}:live-faults")`` — reproducible per seed, though
+not the same victims the simulator samples (the differential harness
+compares metric distributions, not event logs).
 
 Models that need the emulated underlay (link-level cuts and degradation,
 rack-correlated crashes) have no live mapping and raise
@@ -149,15 +151,14 @@ def _check_indices(indices, num_nodes: int, what: str) -> list[int]:
     return out
 
 
-def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
-    """Compile *spec*'s fault models onto *config*'s wall-clock schedule.
+def compile_fault_models(config) -> Tuple[LiveFault, ...]:
+    """Compile ``config.spec``'s fault models onto the wall-clock schedule.
 
     Model times (sim seconds in ``[0, spec.duration]``) map linearly onto
     the live workload window ``[config.workload_start, config.duration]``;
     spans (downtime, heal delays) scale by the same factor with floors (see
     module docstring).  Join scheduling is *not* compiled — the live join
-    wave replaces it, exactly as the facade replaces the workload model's
-    ``start``/``gap`` timing.
+    wave replaces it.
 
     Raises :class:`LiveFaultError` for models with no live equivalent.
     """
@@ -166,23 +167,18 @@ def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
                                  FlappingPartitionModel, FlashCrowdModel,
                                  GroupModel, PartitionModel, WorkloadModel)
 
+    spec = config.spec
     rng = random.Random(f"{config.seed}:live-faults")
     num_nodes = config.nodes
-    window = config.duration - config.workload_start
-    scale = window / float(spec.duration)
-
-    def map_at(t: float) -> float:
-        t = min(max(float(t), 0.0), float(spec.duration))
-        return round(min(config.workload_start + t * scale,
-                         config.duration - 0.25), 3)
+    map_at = config.live_time
 
     def map_span(span: float, floor: float) -> float:
-        return round(max(floor, float(span) * scale), 3)
+        return round(max(floor, float(span) * config.time_scale), 3)
 
     faults: list[LiveFault] = []
     for model in spec.models:
         if isinstance(model, (WorkloadModel, GroupModel)):
-            continue   # the live workload/group choreography covers these
+            continue   # per-node programs: every node process runs its ops
         if isinstance(model, ChurnModel):
             if model.churn_fraction <= 0:
                 continue   # pure join schedule: replaced by the join wave
@@ -284,31 +280,15 @@ def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
 def live_runnable(spec) -> Tuple[bool, Optional[str]]:
     """Is *spec* runnable as a live deployment?  Returns ``(ok, reason)``.
 
-    A spec is live-runnable when its protocol is one the live registry can
-    boot, it carries a workload, and every fault model compiles onto
-    wall-clock — the tag the fuzzer stamps on generated specs so the
-    differential harness can consume fuzzer artifacts.
+    The verdict of :func:`~repro.live.cluster.compile_live` under the
+    default deployment settings — the tag the fuzzer stamps on generated
+    specs so the differential harness can consume fuzzer artifacts.
     """
-    from ..eval.scenario import WorkloadModel
-    from ..facade import _LIVE_PROTOCOLS
-    from ..eval.fuzz import protocol_name_of
-    from .cluster import LiveClusterConfig, LiveClusterError
+    from ..eval.scenario import ScenarioError
+    from .cluster import LiveClusterConfig, LiveClusterError, compile_live
 
     try:
-        name = protocol_name_of(spec)
-    except Exception as exc:   # noqa: BLE001 - unknown factory shapes
-        return False, f"protocol not resolvable: {exc}"
-    if name not in _LIVE_PROTOCOLS:
-        return False, (f"protocol {name!r} has no live deployment "
-                       f"(not a compiled .mac specification)")
-    if not any(isinstance(model, WorkloadModel) for model in spec.models):
-        return False, "no WorkloadModel to drive live traffic"
-    try:
-        probe = LiveClusterConfig(
-            nodes=spec.num_nodes, protocol=_LIVE_PROTOCOLS[name],
-            seed=spec.seed,
-            duration=spec.num_nodes * 0.15 + 1.0 + 10.0)
-        compile_fault_models(spec, probe)
-    except (LiveFaultError, LiveClusterError) as exc:
+        compile_live(LiveClusterConfig(spec))
+    except (ScenarioError, LiveClusterError) as exc:
         return False, str(exc)
     return True, None

@@ -85,24 +85,18 @@ def artifact(registry: MetricsRegistry, *, mode: str, name: str, seed: int,
     return snapshot
 
 
-def workload_tallies(compiled_models: Iterable[Any]) \
+def workload_tallies(all_observations: Iterable[Any]) \
         -> tuple[int, int, int, int, list[float]]:
-    """(sent, delivered, duplicates, skipped, latencies) across all models.
+    """(sent, delivered, duplicates, skipped, latencies) across workloads.
 
-    Route/multicast/pub-sub workloads expose
-    :class:`~repro.eval.scenario.WorkloadObservations`-shaped objects;
-    KV workloads hang a :class:`~repro.eval.scenario.KvObservations` off
-    ``compiled.kv_state`` whose records carry issue/completion timestamps.
+    Route/multicast/pub-sub workloads accumulate
+    :class:`~repro.eval.scenario.WorkloadObservations`; KV workloads a
+    :class:`~repro.eval.scenario.KvObservations` whose records carry
+    issue/completion timestamps.  Other accumulators contribute nothing.
     """
     sent = delivered = duplicates = skipped = 0
     latencies: list[float] = []
-    for compiled in compiled_models:
-        observations = getattr(compiled, "observations", None)
-        if observations is None:
-            kv_state = getattr(compiled, "kv_state", None)
-            observations = getattr(kv_state, "observations", None)
-        if observations is None:
-            continue
+    for observations in all_observations:
         sent += getattr(observations, "sent", 0)
         skipped += getattr(observations, "skipped", 0)
         duplicates += getattr(observations, "duplicates", 0)
@@ -136,8 +130,10 @@ def fill_sim(registry: MetricsRegistry, experiment: Any, *,
     counter("net.packets_dropped").inc(stats.packets_dropped)
     counter("net.bytes_delivered").inc(stats.bytes_delivered)
 
-    sent, delivered, duplicates, skipped, latencies = \
-        workload_tallies(experiment.compiled_models)
+    sent, delivered, duplicates, skipped, latencies = workload_tallies(
+        getattr(compiled, "observations", None)
+        or getattr(getattr(compiled, "kv_state", None), "observations", None)
+        for compiled in experiment.compiled_models)
     counter("workload.sent").inc(sent)
     counter("workload.delivered").inc(delivered)
     counter("workload.duplicates").inc(duplicates)

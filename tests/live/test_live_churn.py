@@ -10,21 +10,35 @@ import socket
 
 import pytest
 
-from repro.live import KillNode, LiveCluster, LiveClusterConfig, LiveClusterError
+import repro
+from repro.eval.library import resolve_protocol
+from repro.eval.scenario import CrashModel, ScenarioSpec, WorkloadModel
+from repro.live import KillNode, LiveClusterError
 
 pytestmark = pytest.mark.live
 
 
+def _spec(*models, num_nodes, duration, seed=7):
+    return ScenarioSpec(name="live-churn", agents=resolve_protocol("chord"),
+                        num_nodes=num_nodes, duration=duration, seed=seed,
+                        models=models)
+
+
 def test_kill_and_supervised_respawn_recovers():
     """The acceptance shape: a mid-run SIGKILL, a supervised respawn through
-    the restart-epoch machinery, and routing that recovers after the settle
-    window."""
-    config = LiveClusterConfig(
-        nodes=5, duration=7.0, join_spacing=0.1, settle=0.8, packets=30,
-        seed=7, base_port=49500,
-        faults=(KillNode(at=3.0, index=2, respawn_after=1.0),),
-        post_fault_settle=2.0)
-    outcome = LiveCluster(config).run()
+    the restart-epoch machinery, and routing that recovers once the
+    deployment observably has (the reborn node rejoined, the ring is
+    correct again)."""
+    # 77 spec seconds over the 7.7 s live window: the crash at t=17 is a
+    # SIGKILL at 3.0 s, its 10 s recovery a respawn 1.0 s later.  The
+    # reborn node's stabilize walk takes ~1.5 s after its rejoin, and the
+    # run leaves ~2.4 s of probes after that.
+    spec = _spec(CrashModel(at=17.0, victims=(2,), recover_after=10.0),
+                 WorkloadModel(kind="route", source=-1, start=77 / 41,
+                               packets=40, gap=77 / 41),
+                 num_nodes=5, duration=77.0)
+    outcome = repro.run(spec, mode="live", duration=9.0, join_spacing=0.1,
+                        settle=0.8, base_port=49500)
     metrics = outcome.metrics
 
     assert metrics["nodes.killed"] == 1.0
@@ -41,17 +55,18 @@ def test_kill_and_supervised_respawn_recovers():
     # Probes scheduled into the victim's outage window are skipped, not
     # silently lost; the accounting sees them.
     assert metrics["workload.skipped"] >= 0.0
-    # After the respawn plus the settle window, routing must work again.
+    # After the observed recovery, routing must work again.
     assert metrics["workload.post_fault_success_ratio"] >= 0.8
     assert metrics["nodes.callback_errors"] == 0.0
 
 
 def test_kill_without_respawn_leaves_the_node_accounted_down():
-    config = LiveClusterConfig(
-        nodes=4, duration=5.5, join_spacing=0.1, settle=0.8, packets=16,
-        seed=11, base_port=49520,
-        faults=(KillNode(at=2.5, index=3),))
-    outcome = LiveCluster(config).run()
+    spec = _spec(WorkloadModel(kind="route", source=-1, start=1.0,
+                               packets=16, gap=1.0),
+                 num_nodes=4, duration=17.0, seed=11)
+    outcome = repro.run(spec, mode="live", duration=5.5, join_spacing=0.1,
+                        settle=0.8, base_port=49520,
+                        faults=(KillNode(at=2.5, index=3),))
     metrics = outcome.metrics
 
     assert metrics["nodes.killed"] == 1.0
@@ -71,20 +86,20 @@ def test_kill_without_respawn_leaves_the_node_accounted_down():
 def test_startup_timeout_names_the_stuck_nodes():
     # Spawned (not forked) workers re-import the package, which takes far
     # longer than the deliberately absurd 50 ms barrier window.
-    config = LiveClusterConfig(nodes=3, duration=4.0, base_port=49540,
-                               start_method="spawn", startup_timeout=0.05)
+    spec = _spec(WorkloadModel(kind="route"), num_nodes=3, duration=10.0)
     with pytest.raises(LiveClusterError,
                        match="never reached the start barrier"):
-        LiveCluster(config).run()
+        repro.run(spec, mode="live", duration=4.0, base_port=49540,
+                  start_method="spawn", startup_timeout=0.05)
 
 
 def test_port_conflict_is_a_boot_failure_naming_the_node():
     squatter = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     squatter.bind(("127.0.0.1", 49561))   # node index 1's port
     try:
-        config = LiveClusterConfig(nodes=3, duration=4.0, base_port=49560)
+        spec = _spec(WorkloadModel(kind="route"), num_nodes=3, duration=10.0)
         with pytest.raises(LiveClusterError,
                            match="failed to start — node 2"):
-            LiveCluster(config).run()
+            repro.run(spec, mode="live", duration=4.0, base_port=49560)
     finally:
         squatter.close()

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.eval.library import resolve_protocol
 from repro.eval.scenario import ChurnModel, ScenarioSpec, WorkloadModel
-from repro.live import LiveCluster, LiveClusterConfig
 from repro.obs import (ObsConfig, load_obs_snapshot, load_trace,
                        reconstruct_routes, validate_obs_snapshot)
 
@@ -24,25 +24,23 @@ def test_live_obs_snapshot_matches_sim_keys_and_routes(tmp_path):
     obs_live = ObsConfig(trace_path=str(tmp_path / "live-trace.jsonl"),
                          causal=True,
                          snapshot_path=str(tmp_path / "live-obs.json"))
-    config = LiveClusterConfig(nodes=4, duration=5.0, join_spacing=0.1,
-                               settle=0.8, packets=16, seed=5,
-                               base_port=49300, obs=obs_live)
-    outcome = LiveCluster(config).run()
+    # One workload shape for both modes, same obs knobs.
+    spec = ScenarioSpec(
+        name="obs-parity", agents=resolve_protocol("chord"),
+        num_nodes=4, duration=40.0, seed=5,
+        models=(ChurnModel(join="staggered", join_spacing=0.5),
+                WorkloadModel(kind="route", source=-1, start=10.0,
+                              packets=16, gap=1.0)))
+    outcome = repro.run(spec, mode="live", obs=obs_live, duration=5.0,
+                        join_spacing=0.1, settle=0.8, base_port=49300)
     live_snapshot = outcome.result.obs
     assert live_snapshot is not None
     validate_obs_snapshot(live_snapshot)
     assert live_snapshot["mode"] == "live"
     assert load_obs_snapshot(str(tmp_path / "live-obs.json")) == live_snapshot
 
-    # The same workload shape in simulation, same obs knobs.
-    sim_result = ScenarioSpec(
-        name="obs-parity-sim", agents=resolve_protocol("chord"),
-        num_nodes=4, duration=40.0, seed=5,
-        models=(ChurnModel(join="staggered", join_spacing=0.5),
-                WorkloadModel(kind="route", source=-1, start=10.0,
-                              packets=16, gap=1.0)),
-        obs=ObsConfig(trace_path=str(tmp_path / "sim-trace.jsonl"),
-                      causal=True)).run()
+    sim_result = repro.run(spec, obs=ObsConfig(
+        trace_path=str(tmp_path / "sim-trace.jsonl"), causal=True))
     sim_snapshot = sim_result.obs
     validate_obs_snapshot(sim_snapshot)
 
@@ -70,10 +68,13 @@ def test_live_obs_snapshot_matches_sim_keys_and_routes(tmp_path):
 
 
 def test_live_obs_off_reports_no_trace_sections():
-    config = LiveClusterConfig(nodes=3, duration=4.0, join_spacing=0.1,
-                               settle=0.8, packets=8, seed=3,
-                               base_port=49340)
-    outcome = LiveCluster(config).run()
+    spec = ScenarioSpec(
+        name="obs-off", agents=resolve_protocol("chord"), num_nodes=3,
+        duration=9.0, seed=3,
+        models=(WorkloadModel(kind="route", source=-1, start=1.0,
+                              packets=8, gap=1.0),))
+    outcome = repro.run(spec, mode="live", duration=4.0, join_spacing=0.1,
+                        settle=0.8, base_port=49340)
     assert outcome.result.obs is None
     for report in outcome.per_node:
         assert "causal" not in report
